@@ -62,6 +62,10 @@ class ProblemConfig:
             raise ValueError(f"shear modulus must be positive, got {self.mu}")
         if self.m2 is None:
             object.__setattr__(self, "m2", 0.0 if self.problem == 1 else 1.36)
+        for name in ("mu", "gamma_tilde", "m1", "m2", "delta_gamma", "scan_step",
+                     "bisect_tol", "gamma_cap", "linear_span"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.m1 < 0 or self.m2 < 0:
             raise ValueError("stabilization coefficients must be nonnegative")
         if self.scan_step <= 0 or self.bisect_tol <= 0:

@@ -5,8 +5,7 @@ are self-describing: physical defaults (mu, m1, m2, delta_gamma, the
 study load factors) are the reference values of the model problems, and
 detection defaults (scan step, bisection tolerance, load cap, mesh
 family) are the documented tool choices.  Output is byte-identical for
-identical run specifications.  The STABMIX_THREADS environment variable
-caps the number of meshes analyzed concurrently (default 1).
+identical run specifications.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .analysis import (ConvergenceTable, ProblemConfig, StabilityReport,
@@ -123,6 +120,10 @@ def parse_args(argv) -> RunSpec:
             parser.error("--nodes list must not be empty")
         if any(n < 2 for n in meshes):
             parser.error(f"--nodes entries must be >= 2, got {ns.nodes!r}")
+    non_finite = [f"--{k.replace('_', '-')}" for k, v in vars(ns).items()
+                  if isinstance(v, float) and not math.isfinite(v)]
+    if non_finite:
+        parser.error(f"{', '.join(non_finite)} must be finite")
     if ns.mu <= 0:
         parser.error(f"--mu must be positive, got {ns.mu}")
 
@@ -162,14 +163,6 @@ def parse_args(argv) -> RunSpec:
     )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("STABMIX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _config(spec: RunSpec, n: int) -> ProblemConfig:
     return ProblemConfig(problem=spec.problem, n=n, mu=spec.mu, m1=spec.m1,
                          m2=spec.m2, gamma_tilde=spec.gamma_tilde,
@@ -181,12 +174,6 @@ def _config(spec: RunSpec, n: int) -> ProblemConfig:
 def run(spec: RunSpec):
     """Execute the run and return the report object for emission."""
     if spec.command == "stability":
-        workers = min(_thread_count(), len(spec.meshes))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(
-                    lambda n: find_stability_limits(_config(spec, n)),
-                    spec.meshes))
         return [find_stability_limits(_config(spec, n)) for n in spec.meshes]
     if spec.command == "convergence":
         return run_convergence(_config(spec, spec.meshes[0]), spec.meshes)

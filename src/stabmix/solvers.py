@@ -1,14 +1,14 @@
-"""Symmetric eigen-analysis and saddle-point solves at desk scale.
+"""Symmetric eigen-analysis and saddle-point solves on sparse matrices.
 
 The stability verdicts only ever use the sign of the smallest eigenvalue
 of the (constrained) displacement block, which by Sylvester's law of
 inertia is invariant under congruence transforms such as dof rescaling.
-Below ``DENSE_CUTOFF`` rows everything goes through LAPACK directly; above
-it a Cholesky attempt decides definiteness and the eigenvalue itself comes
-from Lanczos iterations on the factored inverse (positive definite case)
-or from shift-invert / smallest-algebraic ARPACK runs with a dense
-fallback (indefinite case).  All iterative paths use fixed start vectors,
-so results are deterministic.
+``smallest_eigenvalue`` takes one path at every size: a sparse symmetric
+LDL^T factorization of A - sigma*I with positive pivots proves the shift
+sigma lies below the spectrum (sigma = 0 first, then geometric steps down,
+bounded by the Gershgorin disc), and shift-invert Lanczos about that shift
+returns the eigenvalue nearest to it, which is the smallest.  The Lanczos
+start vector is fixed, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -16,19 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-
-DENSE_CUTOFF = 3200
 
 
 class NonSymmetricMatrixError(ValueError):
     """Input matrix violates the symmetry contract."""
-
-
-class NotPositiveDefiniteError(ValueError):
-    """Metric matrix of a generalized problem is not SPD."""
 
 
 class SingularSaddleError(RuntimeError):
@@ -36,92 +29,74 @@ class SingularSaddleError(RuntimeError):
 
 
 def _as_symmetric(S, what: str, rtol: float = 1e-10):
-    """Return (dense, sparse) symmetrized copies after checking asymmetry."""
+    """Return the symmetrized CSC matrix after checking shape, entries and asymmetry."""
     if not sp.issparse(S):
         S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise NonSymmetricMatrixError(f"{what} must be square, got {S.shape}")
-    if sp.issparse(S):
-        Ss = S.tocsr()
-        asym = abs(Ss - Ss.T)
-        asym_max = asym.max() if asym.nnz else 0.0
-        scale = abs(Ss).max() if Ss.nnz else 0.0
-    else:
-        asym_max = np.abs(S - S.T).max() if S.size else 0.0
-        scale = np.abs(S).max() if S.size else 0.0
-        Ss = sp.csr_matrix(S)
+    S = sp.csr_matrix(S, dtype=float)
+    if not np.all(np.isfinite(S.data)):
+        raise ValueError(f"{what} has non-finite entries")
+    asym = abs(S - S.T)
+    asym_max = asym.max() if asym.nnz else 0.0
+    scale = abs(S).max() if S.nnz else 0.0
     if asym_max > rtol * max(scale, 1e-300):
         raise NonSymmetricMatrixError(
             f"{what} is not symmetric: max asymmetry {asym_max:.3e} "
             f"exceeds {rtol:.0e} * max entry {scale:.3e}")
-    Ss = (Ss + Ss.T) * 0.5
-    return Ss.toarray(), Ss.tocsc()
+    return ((S + S.T) * 0.5).tocsc()
 
 
-def smallest_eigenvalue(S, dense_cutoff: int = DENSE_CUTOFF) -> float:
+def _shift_below_spectrum(A):
+    """Shift sigma <= 0 with A - sigma*I positive definite, and its sparse LU.
+
+    With a symmetric permutation and diagonal pivots the LU factor is
+    L D L^T with D = diag(U), so positive pivots prove positive
+    definiteness (Sylvester's law of inertia).  Below the Gershgorin lower
+    bound A - sigma*I is strictly diagonally dominant with a positive
+    diagonal, so the search ends there at the latest; a refusal at that
+    point raises instead of searching on.
+    """
+    diag = A.diagonal()
+    row_abs = np.asarray(abs(A).sum(axis=1)).ravel()
+    gershgorin = float(np.min(diag + np.abs(diag) - row_abs))
+    # negative shifts start at 1e-8 of the infinity norm and grow tenfold
+    step = 1e-8 * (float(row_abs.max()) or 1.0)
+    eye = sp.identity(A.shape[0], format="csc")
+    sigma = 0.0
+    while True:
+        try:
+            lu = spla.splu((A - sigma * eye).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        except RuntimeError:  # exactly singular, so not positive definite
+            lu = None
+        if (lu is not None and np.array_equal(lu.perm_r, lu.perm_c)
+                and np.all(lu.U.diagonal() > 0.0)):
+            return sigma, lu
+        if sigma < gershgorin:
+            raise ArithmeticError(
+                f"no positive definite factorization of A - sigma*I even at "
+                f"sigma = {sigma:.3e}, below the Gershgorin bound {gershgorin:.3e}")
+        sigma = -step
+        step *= 10.0
+
+
+def smallest_eigenvalue(S) -> float:
     """Smallest algebraic eigenvalue of a symmetric matrix.
 
     Raises NonSymmetricMatrixError when the input violates the symmetry
-    tolerance (1e-10 relative); otherwise the symmetrized matrix is used.
+    tolerance (1e-10 relative), and ValueError on non-finite entries;
+    otherwise the symmetrized matrix is used.
     """
-    Sd, Ss = _as_symmetric(S, "eigenvalue input")
-    n = Sd.shape[0]
-    if n <= dense_cutoff:
-        return float(sla.eigvalsh(Sd, subset_by_index=[0, 0],
-                                  check_finite=False)[0])
-    try:
-        factor = sla.cho_factor(Sd, lower=True, check_finite=False)
-    except sla.LinAlgError:
-        return _lambda_min_indefinite(Sd, Ss)
-    opinv = spla.LinearOperator(
-        Sd.shape, matvec=lambda v: sla.cho_solve(factor, v, check_finite=False))
-    v0 = np.ones(n)
-    vals = spla.eigsh(Ss, k=1, sigma=0.0, which="LM", OPinv=opinv, v0=v0,
-                      return_eigenvectors=False)
+    A = _as_symmetric(S, "eigenvalue input")
+    n = A.shape[0]
+    if n == 1:
+        return float(A[0, 0])
+    sigma, lu = _shift_below_spectrum(A)
+    opinv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
+    vals = spla.eigsh(A, k=1, sigma=sigma, which="LM", OPinv=opinv,
+                      v0=np.ones(n), return_eigenvectors=False)
     return float(vals[0])
-
-
-def _lambda_min_indefinite(Sd, Ss) -> float:
-    """Best-effort smallest eigenvalue when Cholesky already failed."""
-    n = Sd.shape[0]
-    v0 = np.ones(n)
-    cands = []
-    try:
-        vals = spla.eigsh(Ss, k=min(6, n - 1), sigma=0.0, which="LM", v0=v0,
-                          return_eigenvectors=False)
-        cands.extend(float(v) for v in vals)
-    except Exception:
-        pass
-    try:
-        vals = spla.eigsh(Ss, k=1, which="SA", v0=v0, maxiter=8000, tol=1e-10,
-                          return_eigenvectors=False)
-        cands.extend(float(v) for v in vals)
-    except spla.ArpackNoConvergence as err:
-        if err.eigenvalues is not None and len(err.eigenvalues):
-            cands.extend(float(v) for v in err.eigenvalues)
-    except Exception:
-        pass
-    lam = min(cands) if cands else None
-    if lam is None or lam >= 0.0:
-        # iterative paths contradict the failed factorization; settle densely
-        lam = float(sla.eigvalsh(Sd, subset_by_index=[0, 0],
-                                 check_finite=False)[0])
-    return lam
-
-
-def generalized_smallest_eigenvalue(S, G) -> float:
-    """Smallest lambda with S x = lambda G x for symmetric S and SPD G."""
-    Sd, _ = _as_symmetric(S, "pencil matrix S")
-    Gd, _ = _as_symmetric(G, "metric matrix G")
-    if Sd.shape != Gd.shape:
-        raise ValueError(f"shape mismatch: S {Sd.shape} vs G {Gd.shape}")
-    try:
-        sla.cho_factor(Gd, check_finite=False)
-    except sla.LinAlgError as err:
-        raise NotPositiveDefiniteError(
-            f"metric matrix is not positive definite: {err}") from err
-    return float(sla.eigh(Sd, Gd, eigvals_only=True,
-                          subset_by_index=[0, 0], check_finite=False)[0])
 
 
 @dataclass(frozen=True)
@@ -133,10 +108,6 @@ class SaddleSystem:
     rhs_u: np.ndarray
     rhs_p: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.A_total.shape[0] + self.B.shape[0]
-
 
 def solve_saddle(system: SaddleSystem, residual_rtol: float = 1e-10):
     """Direct sparse LU solve of the full block system.
@@ -145,7 +116,7 @@ def solve_saddle(system: SaddleSystem, residual_rtol: float = 1e-10):
     fails, produces non-finite values, or leaves a block residual larger
     than residual_rtol relative to the right-hand side norm.
     """
-    _, A = _as_symmetric(system.A_total, "saddle displacement block")
+    A = _as_symmetric(system.A_total, "saddle displacement block")
     B = sp.csr_matrix(system.B)
     n_u, n_p = A.shape[0], B.shape[0]
     if B.shape[1] != n_u:

@@ -37,6 +37,15 @@ def test_config_validation():
         ProblemConfig(n=1)
 
 
+@pytest.mark.parametrize("field", ["mu", "m1", "m2", "gamma_tilde",
+                                   "delta_gamma", "scan_step", "bisect_tol",
+                                   "gamma_cap"])
+def test_config_rejects_non_finite(field):
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ProblemConfig(**{field: bad})
+
+
 def test_stabilization_parameter_values():
     cfg = ProblemConfig(problem=1, gamma_tilde=7.125)
     assert stabilization_parameter(cfg) == pytest.approx(2280.0, abs=1e-12)

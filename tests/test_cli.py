@@ -55,6 +55,18 @@ def test_parse_usage_errors_exit_nonzero():
         assert exc.value.code != 0
 
 
+def test_parse_non_finite_is_usage_error(capsys):
+    for flag in ("--mu", "--m1", "--m2", "--scan-step", "--bisect-tol", "--cap"):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["stability", "--nodes", "5", flag, "nan"])
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
+    for flag in ("--gamma-tilde", "--delta-gamma"):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["convergence", flag, "inf"])
+        assert exc.value.code == 2
+
+
 def _stability_spec(**over):
     base = dict(command="stability", problem=1, meshes=(5,), mu=40.0,
                 m1=320.0, m2=0.0, gamma_tilde=7.125, delta_gamma=1.0,
@@ -198,13 +210,3 @@ def test_main_classical_runs(capsys):
     row = [l for l in out.splitlines() if l.startswith("1,5")][0]
     gamma_M = row.split(",")[3]
     assert gamma_M not in ("inf",)  # classical method has a finite limit
-
-
-def test_threads_env_fanout(monkeypatch, capsys):
-    monkeypatch.setenv("STABMIX_THREADS", "2")
-    code = main(["stability", "--nodes", "5,9", "--format", "csv"])
-    assert code == 0
-    out = capsys.readouterr().out
-    rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
-    # deterministic mesh order regardless of the pool
-    assert rows[0].startswith("1,5,") and rows[1].startswith("1,9,")

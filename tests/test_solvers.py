@@ -7,11 +7,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabmix import (MixedSpace, NonSymmetricMatrixError,
-                     NotPositiveDefiniteError, ProblemConfig, SaddleSystem,
-                     SingularSaddleError, assemble_divdiv, assemble_elastic,
-                     build_structured_mesh, generalized_smallest_eigenvalue,
+from stabmix import (MixedSpace, NonSymmetricMatrixError, ProblemConfig,
+                     SaddleSystem, SingularSaddleError, assemble_divdiv,
+                     assemble_elastic, build_structured_mesh,
                      smallest_eigenvalue, solve_saddle)
+from stabmix.analysis import _StabilityOperator
 
 
 def random_spd(n, seed, scale=1.0):
@@ -37,6 +37,20 @@ def test_rejects_nonsymmetric():
     assert smallest_eigenvalue(B) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_one_by_one():
+    assert smallest_eigenvalue([[-3.5]]) == -3.5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite(bad):
+    A = np.eye(6)
+    A[2, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        smallest_eigenvalue(A)
+    with pytest.raises(ValueError, match="non-finite"):
+        smallest_eigenvalue(sp.csr_matrix(A))
+
+
 def test_elastic_block_positive_and_matches_dense_oracle():
     space = MixedSpace(build_structured_mesh(3), problem=1)
     A = assemble_elastic(space, mu=40.0, gamma=0.0)
@@ -48,14 +62,14 @@ def test_elastic_block_positive_and_matches_dense_oracle():
 
 @pytest.mark.parametrize("shift,expect_sign", [(0.0, 1), (None, -1)])
 def test_iterative_path_matches_dense(shift, expect_sign):
-    # low cutoff forces the large-matrix path; dense LAPACK is the oracle
+    # dense LAPACK is the oracle
     space = MixedSpace(build_structured_mesh(5), problem=1)
     A = assemble_elastic(space, mu=40.0, gamma=0.0).toarray()
     if shift is None:
         w = sla.eigvalsh(A)
         A = A - (w[0] + 0.25 * (w[1] - w[0])) * np.eye(A.shape[0])
     lam_dense = sla.eigvalsh(A)[0]
-    lam = smallest_eigenvalue(A, dense_cutoff=10)
+    lam = smallest_eigenvalue(A)
     assert np.sign(lam) == expect_sign
     assert lam == pytest.approx(lam_dense, rel=1e-8)
 
@@ -67,8 +81,30 @@ def test_iterative_path_deep_indefinite():
     w[0] = -37.5
     w[1] = -2.0
     A = (Q * w) @ Q.T
-    lam = smallest_eigenvalue(A, dense_cutoff=10)
+    lam = smallest_eigenvalue(A)
     assert lam == pytest.approx(-37.5, rel=1e-8)
+
+
+def test_all_negative_spectrum():
+    # the shift has to travel far below zero, and the search must stop
+    A = -1e6 * np.diag(np.arange(1.0, 41.0))
+    assert smallest_eigenvalue(A) == pytest.approx(-4e7, rel=1e-8)
+    assert smallest_eigenvalue(sp.csr_matrix(A)) == pytest.approx(-4e7, rel=1e-8)
+
+
+@pytest.mark.parametrize("problem,n,gt,classical,expect_sign", [
+    (1, 9, 14.6, False, 1), (1, 9, 14.7, False, -1),   # gamma_M = 14.68
+    (1, 9, 2.0, True, -1),                              # classical, past ~1.5
+    (2, 17, 3.3, False, 1), (2, 17, 3.4, False, -1),   # gamma_M = 3.37
+])
+def test_assembled_blocks_across_critical_load(problem, n, gt, classical,
+                                               expect_sign):
+    weights = dict(m1=0.0, m2=0.0) if classical else {}
+    A = _StabilityOperator(ProblemConfig(problem=problem, n=n, **weights)).matrix(gt)
+    lam_dense = sla.eigvalsh(A.toarray())[0]
+    lam = smallest_eigenvalue(A)
+    assert np.sign(lam) == np.sign(lam_dense) == expect_sign
+    assert lam == pytest.approx(lam_dense, rel=1e-8)
 
 
 @settings(deadline=None, max_examples=15)
@@ -81,30 +117,6 @@ def test_congruence_preserves_sign(seed):
     lam = smallest_eigenvalue(S)
     lam_c = smallest_eigenvalue(C.T @ S @ C)
     assert np.sign(lam) == np.sign(lam_c)
-
-
-def test_generalized_trivial():
-    G = random_spd(9, 1)
-    assert generalized_smallest_eigenvalue(G, G) == pytest.approx(1.0, rel=1e-10)
-    assert generalized_smallest_eigenvalue(2.0 * G, G) == pytest.approx(2.0, rel=1e-10)
-
-
-def test_generalized_matches_cholesky_reduction():
-    S = random_spd(15, 4) - 5.0 * np.eye(15)
-    G = random_spd(15, 5)
-    lam = generalized_smallest_eigenvalue(S, G)
-    L = np.linalg.cholesky(G)
-    Linv = np.linalg.inv(L)
-    reduced = Linv @ S @ Linv.T
-    oracle = sla.eigvalsh(0.5 * (reduced + reduced.T))[0]
-    assert lam == pytest.approx(oracle, rel=1e-10)
-
-
-def test_generalized_requires_spd_metric():
-    S = np.eye(4)
-    G = np.diag([1.0, 1.0, -1.0, 1.0])
-    with pytest.raises(NotPositiveDefiniteError):
-        generalized_smallest_eigenvalue(S, G)
 
 
 def test_solve_saddle_zero_rhs():
