@@ -3,7 +3,7 @@
 
 Runs the stabilized critical-load scans for both model problems, the two
 manufactured-solution convergence studies, and the unstabilized sanity
-probes.  Takes about 20 s on a 2-core machine; the 33x33 scans dominate.
+probes.  Takes about 13 s on a 2-core machine; the 33x33 scans dominate.
 
     python3 scripts/reproduce_tables.py [--meshes 5,9,17,33] [--skip-stability]
 """

@@ -4,18 +4,23 @@ The displacement block of the linearized problem is
 
     a(w, v) = 2*mu*int eps(w):eps(v) - gamma*int r (grad w)^T : grad v
 
-with the affine weight r(x, y) = 1 - y (the pressure profile of the
-trivial solution).  The div-div stabilization matrix int div w div v is
+with the weight r(x, y) = 1 - y (the pressure profile of the trivial
+solution).  The div-div stabilization matrix int div w div v is
 assembled separately, without its load-dependent factor, so callers can
 scale it.  The coupling block is b(v, q) = int q div v, and the pressure
 mass and displacement H1 Gram matrices back the inf-sup estimator and
 error norms.
 
-All matrices are assembled element by element in a fixed element order
-and scattered with plain addition, so repeated runs are bit-identical.
-By default the returned operators are restricted to the free
-displacement dofs (homogeneous constraints eliminated); pass
-``reduced=False`` for the full, unconstrained operators.
+Elements are affine, so each form is a reference tensor mapped per
+element (Kirby & Logg, ACM TOMS 32, 2006): quadrature sums such as
+G[a,b,k,l] = sum_q w_q dk phi_a dl phi_b run once on the reference
+triangle, and each element applies det * invJ^T (x) invJ^T.  Only a
+weight varying in space, such as r, is summed per element.
+
+Local matrices are computed in a fixed element order and scattered with
+plain addition, so repeated runs are bit-identical.  Operators are
+restricted to the free displacement dofs (homogeneous constraints
+eliminated) unless ``reduced=False`` asks for the full ones.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ def pressure_profile_slope(x, y):
 
 
 def _element_geometry(space: MixedSpace):
-    """Per-element jacobians: columns of J span the triangle edges."""
+    """Vertices, jacobian determinants and inverse-transposed jacobians;
+    the columns of J span the triangle edges."""
     p = space.mesh.nodes[space.mesh.triangles]
     J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
     det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
@@ -44,17 +50,34 @@ def _element_geometry(space: MixedSpace):
     invJT[:, 1, 0] = -J[:, 0, 1]
     invJT[:, 1, 1] = J[:, 0, 0]
     invJT /= det[:, None, None]
-    return p, J, det, invJT
+    return p, det, invJT
 
 
-def _basis_data(space: MixedSpace, degree: int | None = None):
-    """Physical-space basis values/gradients and quadrature geometry."""
+def _reference_table(space: MixedSpace, degree: int | None = None):
+    """Rule with the reference basis values (k, nq) and gradients (k, nq, 2)."""
     rule = space.quadrature if degree is None else make_quadrature(degree)
     vals, ref_grads = tabulate_scalar_basis(rule, space.include_bubbles)
-    p, J, det, invJT = _element_geometry(space)
-    grads = np.einsum("eij,aqj->eaqi", invJT, ref_grads)
-    xy = p[:, None, 0, :] + np.einsum("eij,qj->eqi", J, rule.points[:, 1:])
-    return rule, vals, grads, det, xy
+    return rule, vals, ref_grads
+
+
+def _gradgrad(space: MixedSpace, weight=None):
+    """P[e,a,b,i,j] = int_T weight d_i phi_a d_j phi_b on every element.
+
+    weight(x, y) is evaluated at the physical quadrature points; without
+    it the quadrature sum is done once for all elements.
+    """
+    rule, _, rg = _reference_table(space)
+    p, det, invJT = _element_geometry(space)
+    k, nq, _ = rg.shape
+    w = rule.weights
+    if weight is not None:
+        xy = rule.points @ p
+        w = w * weight(xy[..., 0], xy[..., 1])
+    outer = np.einsum("aqk,bql->qabkl", rg, rg).reshape(nq, -1)
+    G = (w @ outer).reshape(-1, k * k, 4)
+    # T[e, (k, l), (i, j)] = invJT[e,i,k] invJT[e,j,l]
+    T = np.einsum("eik,ejl->eklij", invJT, invJT).reshape(-1, 4, 4)
+    return ((G @ T) * det[:, None, None]).reshape(-1, k, k, 2, 2)
 
 
 def _scatter_square(local, dofs, n):
@@ -72,15 +95,11 @@ def _reduce(A, space: MixedSpace, reduced: bool):
     return A[free, :][:, free]
 
 
-def _vector_block(parts, space: MixedSpace):
-    """Pack component blocks parts[c][d] of shape (e, k, k) into local
-    (e, 2k, 2k) matrices with dof order 2a+c."""
-    e, k, _ = parts[0][0].shape
-    out = np.zeros((e, 2 * k, 2 * k))
-    for c in (0, 1):
-        for d in (0, 1):
-            out[:, c::2, d::2] = parts[c][d]
-    return out
+def _scatter_vector(P, space: MixedSpace, reduced: bool):
+    """Scatter component blocks P[e,a,b,c,d] to the dof pairs (2a+c, 2b+d)."""
+    e, k = P.shape[:2]
+    local = P.transpose(0, 1, 3, 2, 4).reshape(e, 2 * k, 2 * k)
+    return _reduce(_scatter_square(local, space.elem_dofs, space.n_u), space, reduced)
 
 
 def assemble_elastic(space: MixedSpace, mu: float, gamma: float,
@@ -103,49 +122,32 @@ def elastic_parts(space: MixedSpace, reduced: bool = True):
     E2 carries 2*eps:eps and R the r-weighted transposed-gradient term.
     Scans over load factors reuse these instead of reassembling.
     """
-    rule, vals, grads, det, xy = _basis_data(space)
-    w = rule.weights
-
-    # Pd[e,a,b,i,j] = int d_i phi_a d_j phi_b ; Pr adds the weight r
-    Pd = np.einsum("q,eaqi,ebqj->eabij", w, grads, grads) * det[:, None, None, None, None]
-    r_at = pressure_profile_slope(xy[..., 0], xy[..., 1])
-    Pr = np.einsum("eq,eaqi,ebqj->eabij", w * r_at, grads, grads) * det[:, None, None, None, None]
+    Pd = _gradgrad(space)
+    Pr = _gradgrad(space, pressure_profile_slope)
     Kg = np.einsum("eabii->eab", Pd)
-
-    E2_parts = [[Kg + Pd[..., 0, 0], Pd[..., 1, 0]],
-                [Pd[..., 0, 1], Kg + Pd[..., 1, 1]]]
-    R_parts = [[Pr[..., 0, 0], Pr[..., 1, 0]],
-               [Pr[..., 0, 1], Pr[..., 1, 1]]]
-    E2 = _scatter_square(_vector_block(E2_parts, space), space.elem_dofs, space.n_u)
-    R = _scatter_square(_vector_block(R_parts, space), space.elem_dofs, space.n_u)
-    return _reduce(E2, space, reduced), _reduce(R, space, reduced)
+    # component block (c, d) of E2 is Kg delta_cd + Pd[..., d, c]
+    E2 = Kg[..., None, None] * np.eye(2) + Pd.swapaxes(-1, -2)
+    return (_scatter_vector(E2, space, reduced),
+            _scatter_vector(Pr.swapaxes(-1, -2), space, reduced))
 
 
 def assemble_divdiv(space: MixedSpace, reduced: bool = True) -> sp.csr_matrix:
     """Stabilization matrix S with v^T S v = ||div v_h||^2 in L2."""
-    rule, vals, grads, det, _ = _basis_data(space)
-    Pd = np.einsum("q,eaqi,ebqj->eabij", rule.weights, grads, grads) \
-        * det[:, None, None, None, None]
-    parts = [[Pd[..., 0, 0], Pd[..., 0, 1]],
-             [Pd[..., 1, 0], Pd[..., 1, 1]]]
-    S = _scatter_square(_vector_block(parts, space), space.elem_dofs, space.n_u)
-    return _reduce(S, space, reduced)
+    return _scatter_vector(_gradgrad(space), space, reduced)
 
 
 def assemble_coupling(space: MixedSpace, reduced: bool = True) -> sp.csr_matrix:
     """Pressure-displacement coupling (B v)_q = int q_h div v_h."""
-    rule, vals, grads, det, _ = _basis_data(space)
-    hat_vals = vals[:3]
-    blk = np.einsum("q,pq,eaqc->epac", rule.weights, hat_vals, grads) \
-        * det[:, None, None, None]
-    e, _, k, _ = blk.shape
-    local = np.zeros((e, 3, 2 * k))
-    local[:, :, 0::2] = blk[..., 0]
-    local[:, :, 1::2] = blk[..., 1]
+    rule, vals, rg = _reference_table(space)
+    _, det, invJT = _element_geometry(space)
+    k = rg.shape[0]
+    # C[p, a, m] = int hat_p d_m phi_a on the reference triangle
+    C = np.einsum("q,pq,aqm->pam", rule.weights, vals[:3], rg).reshape(3 * k, 2)
+    local = (C @ invJT.swapaxes(1, 2)) * det[:, None, None]
 
     rows = np.repeat(space.mesh.triangles, 2 * k, axis=1).ravel()
     cols = np.tile(space.elem_dofs, (1, 3)).ravel()
-    B = sp.coo_matrix((local.reshape(e, -1).ravel(), (rows, cols)),
+    B = sp.coo_matrix((local.ravel(), (rows, cols)),
                       shape=(space.n_p, space.n_u)).tocsr()
     return B[:, space.free_dofs] if reduced else B
 
@@ -157,15 +159,13 @@ def assemble_load(space: MixedSpace, f, scale: float = 1.0,
     f(x, y) must be vectorized and return shape (..., 2).  A high-degree
     rule is the default because the model loads are not polynomial.
     """
-    rule, vals, grads, det, xy = _basis_data(space, degree=degree)
+    rule, vals, _ = _reference_table(space, degree=degree)
+    p, det, _ = _element_geometry(space)
+    xy = rule.points @ p
     fv = np.asarray(f(xy[..., 0], xy[..., 1]), dtype=float)
     if fv.shape != xy.shape:
         raise ValueError(f"load field returned shape {fv.shape}, expected {xy.shape}")
-    blk = np.einsum("q,eqc,aq->eac", rule.weights, fv, vals) * det[:, None, None]
-    e, k, _ = blk.shape
-    local = np.zeros((e, 2 * k))
-    local[:, 0::2] = blk[..., 0]
-    local[:, 1::2] = blk[..., 1]
+    local = ((vals * rule.weights) @ fv) * det[:, None, None]
 
     F = np.zeros(space.n_u)
     np.add.at(F, space.elem_dofs.ravel(), local.ravel())
@@ -175,23 +175,21 @@ def assemble_load(space: MixedSpace, f, scale: float = 1.0,
 
 def assemble_pressure_mass(space: MixedSpace) -> sp.csr_matrix:
     """L2 mass matrix of the continuous P1 pressure space."""
-    rule, vals, grads, det, _ = _basis_data(space)
-    hat_vals = vals[:3]
-    local = np.einsum("q,pq,rq->pr", rule.weights, hat_vals, hat_vals)
+    rule, vals, _ = _reference_table(space)
+    _, det, _ = _element_geometry(space)
+    local = np.einsum("q,pq,rq->pr", rule.weights, vals[:3], vals[:3])
     local = local[None, :, :] * det[:, None, None]
     return _scatter_square(local, space.mesh.triangles, space.n_p)
 
 
 def assemble_h1_gram(space: MixedSpace, reduced: bool = True) -> sp.csr_matrix:
     """Full H1 inner product int grad w : grad v + int w . v."""
-    rule, vals, grads, det, _ = _basis_data(space)
-    Kg = np.einsum("q,eaqi,ebqi->eab", rule.weights, grads, grads) * det[:, None, None]
+    rule, vals, _ = _reference_table(space)
+    _, det, _ = _element_geometry(space)
+    Kg = np.einsum("eabii->eab", _gradgrad(space))
     Ms = np.einsum("q,aq,bq->ab", rule.weights, vals, vals)
-    Ms = Ms[None, :, :] * det[:, None, None]
-    zero = np.zeros_like(Kg)
-    parts = [[Kg + Ms, zero], [zero, Kg + Ms]]
-    K = _scatter_square(_vector_block(parts, space), space.elem_dofs, space.n_u)
-    return _reduce(K, space, reduced)
+    local = Kg + Ms[None, :, :] * det[:, None, None]
+    return _scatter_vector(local[..., None, None] * np.eye(2), space, reduced)
 
 
 def p1_scalar_stiffness(vertices) -> np.ndarray:

@@ -14,6 +14,8 @@ from stabmix import (AbstractConstants, MixedSpace, ProblemConfig,
                      is_stable, manufactured_pressure, run_convergence,
                      stabilization_parameter)
 from stabmix.analysis import _StabilityOperator, _probe_magnitudes
+from stabmix.mesh import TriMesh
+from stabmix.spaces import make_quadrature
 
 
 def test_config_defaults_by_problem():
@@ -192,6 +194,55 @@ def test_compute_errors_interpolant_vs_adaptive_oracle():
                                    epsabs=1e-13, epsrel=1e-13)
         total += val
     assert err_p == pytest.approx(math.sqrt(total), rel=1e-8)
+
+
+def test_compute_errors_displacement_gradient_matches_oracle():
+    base = build_structured_mesh(4)
+    nodes = base.nodes.copy()
+    interior = np.all(np.abs(nodes) < 1.0 - 1e-12, axis=1)
+    rng = np.random.default_rng(17)
+    nodes[interior] += 0.15 * base.h * rng.uniform(-1.0, 1.0, (interior.sum(), 2))
+    mesh = TriMesh(grid_n=4, nodes=nodes, triangles=base.triangles,
+                   boundary_edges=base.boundary_edges)
+    space = MixedSpace(mesh, problem=1)
+    w_h = rng.standard_normal(space.n_free)
+    # an exact field with a nonsymmetric gradient, [c, i] = d_i w_c
+    w_ex = lambda x, y: np.stack([np.sin(x) + y * y, x * y ** 3], axis=-1)
+    gw_ex = lambda x, y: np.stack([np.stack([np.cos(x), 2.0 * y], axis=-1),
+                                   np.stack([y ** 3, 3.0 * x * y * y], axis=-1)],
+                                  axis=-2)
+    _, err_w = compute_errors(space, w_h, np.zeros(space.n_p),
+                              exact_pressure=lambda x, y: 0.0 * x,
+                              exact_displacement=w_ex,
+                              exact_displacement_grad=gw_ex)
+
+    # oracle: barycentric coordinates of each triangle from a 3x3 solve
+    full = np.zeros(space.n_u)
+    full[space.free_dofs] = w_h
+    rule = make_quadrature(10)
+    total = 0.0
+    for tri in range(mesh.n_triangles):
+        verts = mesh.nodes[mesh.triangles[tri]]
+        coef = np.linalg.inv(np.vstack([np.ones(3), verts.T]))  # lam = coef @ (1, x, y)
+        dlam = coef[:, 1:]                                      # (3, 2)
+        xy = verts[0][:, None] + (verts[1:] - verts[0]).T @ rule.points[:, 1:].T
+        lam = (coef @ np.vstack([np.ones(rule.points.shape[0]), xy])).T
+        bubble = 27.0 * lam.prod(axis=1)
+        dbubble = 27.0 * (lam[:, [1]] * lam[:, [2]] * dlam[0]
+                          + lam[:, [0]] * lam[:, [2]] * dlam[1]
+                          + lam[:, [0]] * lam[:, [1]] * dlam[2])
+        dofs = space.elem_dofs[tri]
+        hats = full[dofs[:6]].reshape(3, 2)                     # [a, c]
+        bub = full[dofs[6:]]
+        u = lam @ hats + bubble[:, None] * bub
+        grad = np.einsum("ac,ai->ci", hats, dlam)[None] + np.einsum(
+            "c,qi->qci", bub, dbubble)
+        diff_u = w_ex(xy[0], xy[1]) - u
+        diff_g = gw_ex(xy[0], xy[1]) - grad
+        area = abs(np.linalg.det(verts[1:] - verts[0]))
+        total += area * (rule.weights @ ((diff_u ** 2).sum(axis=1)
+                                         + (diff_g ** 2).sum(axis=(1, 2))))
+    assert err_w == pytest.approx(math.sqrt(total), rel=1e-12)
 
 
 def test_zero_load_gives_zero_solution():

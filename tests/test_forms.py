@@ -10,6 +10,7 @@ from stabmix import (MixedSpace, assemble_coupling, assemble_divdiv,
                      build_structured_mesh, elastic_parts, manufactured_load,
                      smallest_eigenvalue, uniform_vertical_load)
 from stabmix.forms import export_coo, p1_scalar_stiffness
+from stabmix.mesh import TriMesh
 from stabmix.spaces import make_quadrature
 
 
@@ -66,6 +67,33 @@ def triangle_quadrature_xy(space, tri, rule):
     det = abs(np.linalg.det(J))
     xy = verts[0][None, :] + rule.points[:, 1:] @ J.T
     return xy, det
+
+
+def jittered_space(n, problem, seed, include_bubbles=True):
+    """Space on a structured mesh whose interior nodes are moved at random.
+
+    Every element then has its own jacobian.  Boundary nodes stay put, so
+    the boundary classification and the constraints are unchanged.
+    """
+    base = build_structured_mesh(n)
+    nodes = base.nodes.copy()
+    interior = np.all(np.abs(nodes) < 1.0 - 1e-12, axis=1)
+    rng = np.random.default_rng(seed)
+    nodes[interior] += 0.15 * base.h * rng.uniform(-1.0, 1.0, (interior.sum(), 2))
+    mesh = TriMesh(grid_n=n, nodes=nodes, triangles=base.triangles,
+                   boundary_edges=base.boundary_edges)
+    assert np.all(mesh.signed_areas() > 0.0)
+    return MixedSpace(mesh, problem=problem, include_bubbles=include_bubbles)
+
+
+def pointwise_integral(space, integrand, rule):
+    """Sum over triangles of int integrand(tri, xy) with the oracle's own
+    per-triangle geometry."""
+    total = 0.0
+    for tri in range(space.mesh.n_triangles):
+        xy, det = triangle_quadrature_xy(space, tri, rule)
+        total += det * (rule.weights * integrand(tri, xy)).sum()
+    return total
 
 
 def test_p1_scalar_stiffness_reference_triangle():
@@ -129,6 +157,80 @@ def test_divdiv_matches_pointwise_oracle():
         _, det = triangle_quadrature_xy(space, tri, rule)
         total += det * (rule.weights * div ** 2).sum()
     assert v @ (S @ v) == pytest.approx(total, rel=1e-12)
+
+
+@pytest.mark.parametrize("include_bubbles", [True, False])
+def test_elastic_parts_matches_pointwise_oracle(include_bubbles):
+    space = jittered_space(5, 2, seed=3, include_bubbles=include_bubbles)
+    E2, R = elastic_parts(space, reduced=False)
+    rng = np.random.default_rng(5)
+    w, v = rng.standard_normal((2, space.n_u))
+    rule = make_quadrature(6)
+
+    def fields(tri):
+        _, gw = eval_triangle_fields(space, w, tri, rule.points)
+        _, gv = eval_triangle_fields(space, v, tri, rule.points)
+        return gw, gv
+
+    def eps_eps(tri, xy):
+        gw, gv = fields(tri)
+        ew = 0.5 * (gw + gw.transpose(0, 2, 1))
+        ev = 0.5 * (gv + gv.transpose(0, 2, 1))
+        return 2.0 * np.einsum("qij,qij->q", ew, ev)
+
+    def weighted_transpose(tri, xy):
+        gw, gv = fields(tri)
+        return (1.0 - xy[:, 1]) * np.einsum("qji,qij->q", gw, gv)
+
+    assert w @ (E2 @ v) == pytest.approx(
+        pointwise_integral(space, eps_eps, rule), rel=1e-12)
+    assert w @ (R @ v) == pytest.approx(
+        pointwise_integral(space, weighted_transpose, rule), rel=1e-12)
+
+
+def test_h1_gram_and_pressure_mass_match_pointwise_oracle():
+    space = jittered_space(5, 1, seed=4)
+    K = assemble_h1_gram(space, reduced=False)
+    M = assemble_pressure_mass(space)
+    rng = np.random.default_rng(9)
+    w, v = rng.standard_normal((2, space.n_u))
+    p, q = rng.standard_normal((2, space.n_p))
+    rule = make_quadrature(6)
+
+    def h1(tri, xy):
+        uw, gw = eval_triangle_fields(space, w, tri, rule.points)
+        uv, gv = eval_triangle_fields(space, v, tri, rule.points)
+        return np.einsum("qij,qij->q", gw, gv) + np.einsum("qc,qc->q", uw, uv)
+
+    def mass(tri, xy):
+        verts = space.mesh.triangles[tri]
+        return (rule.points @ p[verts]) * (rule.points @ q[verts])
+
+    assert w @ (K @ v) == pytest.approx(pointwise_integral(space, h1, rule), rel=1e-12)
+    assert p @ (M @ q) == pytest.approx(pointwise_integral(space, mass, rule), rel=1e-12)
+
+
+def test_divdiv_and_coupling_match_pointwise_oracle_on_jittered_mesh():
+    space = jittered_space(5, 2, seed=6)
+    S = assemble_divdiv(space, reduced=False)
+    B = assemble_coupling(space, reduced=False)
+    rng = np.random.default_rng(13)
+    w, v = rng.standard_normal((2, space.n_u))
+    q = rng.standard_normal(space.n_p)
+    rule = make_quadrature(6)
+
+    def div(coeffs, tri):
+        _, g = eval_triangle_fields(space, coeffs, tri, rule.points)
+        return g[:, 0, 0] + g[:, 1, 1]
+
+    def divdiv(tri, xy):
+        return div(w, tri) * div(v, tri)
+
+    def coupling(tri, xy):
+        return (rule.points @ q[space.mesh.triangles[tri]]) * div(v, tri)
+
+    assert w @ (S @ v) == pytest.approx(pointwise_integral(space, divdiv, rule), rel=1e-12)
+    assert q @ (B @ v) == pytest.approx(pointwise_integral(space, coupling, rule), rel=1e-12)
 
 
 def test_coupling_constant_pressure():
