@@ -10,7 +10,7 @@ stable at gt exactly when the smallest eigenvalue of the constrained
 block is positive; the critical loads are located by an outward scan
 from gt = 0 in both directions followed by bisection.  A scan that keeps
 stepping linearly to the unbounded-load cutoff of 1e6 would take millions
-of eigenvalue probes, so beyond ``linear_span`` the probe spacing doubles;
+of eigenvalue probes, so beyond ``LINEAR_SPAN`` the probe spacing doubles;
 bisection restores the requested resolution whenever a sign change is
 found.
 """
@@ -28,6 +28,11 @@ from . import forms
 from .mesh import build_structured_mesh
 from .solvers import SaddleSystem, smallest_eigenvalue, solve_saddle
 from .spaces import MixedSpace
+
+# load magnitude up to which the scan steps linearly before doubling
+LINEAR_SPAN = 8.0
+# inf-sup eigenvalues below this fraction of the largest are kernel modes
+KERNEL_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -51,27 +56,24 @@ class ProblemConfig:
     scan_step: float = 0.25
     bisect_tol: float = 0.01
     gamma_cap: float = 1e6
-    linear_span: float = 8.0
 
     def __post_init__(self):
         if self.problem not in (1, 2):
             raise ValueError(f"unknown problem id {self.problem!r}; expected 1 or 2")
         if self.n < 2:
             raise ValueError(f"mesh resolution must be >= 2, got {self.n}")
-        if self.mu <= 0:
-            raise ValueError(f"shear modulus must be positive, got {self.mu}")
         if self.m2 is None:
             object.__setattr__(self, "m2", 0.0 if self.problem == 1 else 1.36)
         for name in ("mu", "gamma_tilde", "m1", "m2", "delta_gamma", "scan_step",
-                     "bisect_tol", "gamma_cap", "linear_span"):
+                     "bisect_tol", "gamma_cap"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.mu <= 0:
+            raise ValueError(f"shear modulus must be positive, got {self.mu}")
         if self.m1 < 0 or self.m2 < 0:
             raise ValueError("stabilization coefficients must be nonnegative")
-        if self.scan_step <= 0 or self.bisect_tol <= 0:
-            raise ValueError("scan_step and bisect_tol must be positive")
-        if self.gamma_cap <= 0 or self.linear_span <= 0:
-            raise ValueError("gamma_cap and linear_span must be positive")
+        if self.scan_step <= 0 or self.bisect_tol <= 0 or self.gamma_cap <= 0:
+            raise ValueError("scan_step, bisect_tol and gamma_cap must be positive")
 
     def gamma(self, gamma_tilde: float | None = None) -> float:
         """Dimensional load gamma = mu * gt (characteristic length 1)."""
@@ -114,26 +116,19 @@ class AbstractConstants:
     """Constants of the abstract stability framework.
 
     alpha: kernel coercivity, beta: continuous inf-sup, c1/c2: continuity
-    bounds of the unstabilized form; alpha1/beta1 are their discrete
-    counterparts when known.
+    bounds of the unstabilized form.
     """
 
     alpha: float
     beta: float
     c1: float
     c2: float
-    alpha1: float | None = None
-    beta1: float | None = None
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0 or self.c1 <= 0:
             raise ValueError("alpha, beta and c1 must be positive")
         if self.c2 < 0:
             raise ValueError("c2 must be nonnegative")
-        for name in ("alpha1", "beta1"):
-            val = getattr(self, name)
-            if val is not None and val <= 0:
-                raise ValueError(f"{name} must be positive when supplied")
 
 
 def stabilization_parameter(cfg: ProblemConfig,
@@ -181,7 +176,7 @@ def is_stable(cfg: ProblemConfig):
 
 def _probe_magnitudes(cfg: ProblemConfig):
     """Outward probe magnitudes: linear steps, then doubling, then the cap."""
-    span = min(cfg.linear_span, cfg.gamma_cap)
+    span = min(LINEAR_SPAN, cfg.gamma_cap)
     k = int(round(span / cfg.scan_step))
     probes = [cfg.scan_step * i for i in range(1, k + 1)]
     t = probes[-1] if probes else cfg.scan_step
@@ -203,16 +198,16 @@ def find_stability_limits(cfg: ProblemConfig) -> StabilityReport:
     """
     op = _StabilityOperator(cfg)
     trace = []
-    lam0 = op.lambda_min(0.0)
-    trace.append((0.0, lam0))
-    if lam0 <= 0.0:
-        raise ValueError(
-            f"baseline is unstable: lambda_min = {lam0:.6e} at gamma_tilde = 0")
 
     def probe(gt):
         lam = op.lambda_min(gt)
         trace.append((gt, lam))
         return lam
+
+    lam0 = probe(0.0)
+    if lam0 <= 0.0:
+        raise ValueError(
+            f"baseline is unstable: lambda_min = {lam0:.6e} at gamma_tilde = 0")
 
     def scan(sign):
         prev = 0.0
@@ -235,12 +230,12 @@ def find_stability_limits(cfg: ProblemConfig) -> StabilityReport:
                            gamma_M=gamma_M, trace=tuple(trace))
 
 
-def estimate_inf_sup(space: MixedSpace, kernel_rtol: float = 1e-10) -> float:
+def estimate_inf_sup(space: MixedSpace) -> float:
     """Discrete inf-sup constant of the pair on this mesh.
 
     beta1 is the square root of the smallest eigenvalue of the pressure
     Schur complement B K_V^{-1} B^T in the pressure-mass metric, skipping
-    the numerical kernel of B^T (eigenvalues below kernel_rtol times the
+    the numerical kernel of B^T (eigenvalues below KERNEL_RTOL times the
     largest).  The intended displacement/pressure pair has no kernel
     here; the bubble-stripped control pair carries a small exact one made
     of its spurious pressure modes, and the constant reported for it then
@@ -260,7 +255,7 @@ def estimate_inf_sup(space: MixedSpace, kernel_rtol: float = 1e-10) -> float:
     schur = B @ X
     schur = 0.5 * (schur + schur.T)
     w = sla.eigh(schur, Mp.toarray(), eigvals_only=True, check_finite=False)
-    n_kernel = int(np.sum(w < kernel_rtol * max(w[-1], 1e-300)))
+    n_kernel = int(np.sum(w < KERNEL_RTOL * max(w[-1], 1e-300)))
     if n_kernel >= len(w):
         return 0.0
     return float(math.sqrt(max(w[n_kernel], 0.0)))
@@ -277,23 +272,17 @@ def manufactured_pressure(x, y):
     return np.exp(x) * (1.0 - y)
 
 
-def uniform_vertical_load(x, y):
-    """Default body force direction (0, 1)."""
-    z = np.zeros_like(np.asarray(x, dtype=float))
-    return np.stack([z, z + 1.0], axis=-1)
-
-
 def compute_errors(space: MixedSpace, w_h, p_h, exact_pressure,
-                   exact_displacement=None, exact_displacement_grad=None,
-                   degree: int = 10):
+                   exact_displacement=None, exact_displacement_grad=None):
     """L2 pressure error and H1 displacement error against exact fields.
 
     Exact callables must be vectorized: pressure (x, y) -> (...,),
     displacement (x, y) -> (..., 2) and its gradient (x, y) -> (..., 2, 2)
     with [c, i] = d_i w_c; omitted displacement fields default to zero.
-    Everything is integrated element by element with a high-degree rule.
+    Everything is integrated element by element with the high-degree
+    rule of the load vectors.
     """
-    rule, vals, ref_grads = forms._reference_table(space, degree)
+    rule, vals, ref_grads = forms._reference_table(space, forms.LOAD_QUAD_DEGREE)
     p, det, invJT = forms._element_geometry(space)
     xy = rule.points @ p
     x, y = xy[..., 0], xy[..., 1]

@@ -25,17 +25,13 @@ eliminated) unless ``reduced=False`` asks for the full ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
 from .spaces import MixedSpace, make_quadrature, tabulate_scalar_basis
 
-
-def pressure_profile_slope(x, y):
-    """Weight r(x, y) = 1 - y of the transposed-gradient term."""
-    return 1.0 - np.asarray(y, dtype=float) + 0.0 * np.asarray(x, dtype=float)
+# quadrature degree for the non-polynomial integrands: loads and exact fields
+LOAD_QUAD_DEGREE = 10
 
 
 def _element_geometry(space: MixedSpace):
@@ -88,18 +84,13 @@ def _scatter_square(local, dofs, n):
                          shape=(n, n)).tocsr()
 
 
-def _reduce(A, space: MixedSpace, reduced: bool):
-    if not reduced:
-        return A
-    free = space.free_dofs
-    return A[free, :][:, free]
-
-
 def _scatter_vector(P, space: MixedSpace, reduced: bool):
     """Scatter component blocks P[e,a,b,c,d] to the dof pairs (2a+c, 2b+d)."""
     e, k = P.shape[:2]
     local = P.transpose(0, 1, 3, 2, 4).reshape(e, 2 * k, 2 * k)
-    return _reduce(_scatter_square(local, space.elem_dofs, space.n_u), space, reduced)
+    A = _scatter_square(local, space.elem_dofs, space.n_u)
+    free = space.free_dofs
+    return A[free, :][:, free] if reduced else A
 
 
 def assemble_elastic(space: MixedSpace, mu: float, gamma: float,
@@ -123,7 +114,7 @@ def elastic_parts(space: MixedSpace, reduced: bool = True):
     Scans over load factors reuse these instead of reassembling.
     """
     Pd = _gradgrad(space)
-    Pr = _gradgrad(space, pressure_profile_slope)
+    Pr = _gradgrad(space, lambda x, y: 1.0 - y)
     Kg = np.einsum("eabii->eab", Pd)
     # component block (c, d) of E2 is Kg delta_cd + Pd[..., d, c]
     E2 = Kg[..., None, None] * np.eye(2) + Pd.swapaxes(-1, -2)
@@ -153,13 +144,13 @@ def assemble_coupling(space: MixedSpace, reduced: bool = True) -> sp.csr_matrix:
 
 
 def assemble_load(space: MixedSpace, f, scale: float = 1.0,
-                  degree: int = 10, reduced: bool = True) -> np.ndarray:
+                  reduced: bool = True) -> np.ndarray:
     """Load vector with entries scale * int f . phi_i.
 
-    f(x, y) must be vectorized and return shape (..., 2).  A high-degree
-    rule is the default because the model loads are not polynomial.
+    f(x, y) must be vectorized and return shape (..., 2).  The rule is of
+    degree LOAD_QUAD_DEGREE because the model loads are not polynomial.
     """
-    rule, vals, _ = _reference_table(space, degree=degree)
+    rule, vals, _ = _reference_table(space, LOAD_QUAD_DEGREE)
     p, det, _ = _element_geometry(space)
     xy = rule.points @ p
     fv = np.asarray(f(xy[..., 0], xy[..., 1]), dtype=float)
@@ -200,40 +191,3 @@ def p1_scalar_stiffness(vertices) -> np.ndarray:
     invJT = np.array([[d2[1], -d1[1]], [-d2[0], d1[0]]]) / det
     grads = (invJT @ np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]).T).T
     return 0.5 * det * grads @ grads.T
-
-
-@dataclass(frozen=True)
-class AssembledSystem:
-    """All operators of one stabilized problem instance on free dofs."""
-
-    space: MixedSpace
-    A_elastic: sp.csr_matrix
-    S_divdiv: sp.csr_matrix
-    B_coupling: sp.csr_matrix
-    M_pressure: sp.csr_matrix
-    K_V: sp.csr_matrix
-    load_u: np.ndarray
-    load_p: np.ndarray
-
-
-def assemble_system(space: MixedSpace, mu: float, gamma: float, f,
-                    scale: float = 1.0) -> AssembledSystem:
-    """Assemble every block needed by the solvers and estimators."""
-    return AssembledSystem(
-        space=space,
-        A_elastic=assemble_elastic(space, mu, gamma),
-        S_divdiv=assemble_divdiv(space),
-        B_coupling=assemble_coupling(space),
-        M_pressure=assemble_pressure_mass(space),
-        K_V=assemble_h1_gram(space),
-        load_u=assemble_load(space, f, scale=scale),
-        load_p=np.zeros(space.n_p),
-    )
-
-
-def export_coo(A) -> str:
-    """Coordinate text dump "row col value", one entry per line."""
-    coo = sp.coo_matrix(A)
-    order = np.lexsort((coo.col, coo.row))
-    lines = [f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.17g}" for i in order]
-    return "\n".join(lines) + "\n"

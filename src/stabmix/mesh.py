@@ -70,10 +70,6 @@ class NodeClass:
     kind: str
     sides: frozenset
 
-    @property
-    def is_corner(self) -> bool:
-        return len(self.sides) == 2
-
 
 def build_structured_mesh(n: int) -> TriMesh:
     """Uniform n x n node grid on [-1,1]^2, cells split along the
@@ -100,16 +96,11 @@ def build_structured_mesh(n: int) -> TriMesh:
     def nid(i, j):
         return j * n + i
 
-    triangles = []
-    for j in range(n - 1):
-        for i in range(n - 1):
-            a = nid(i, j)
-            b = nid(i + 1, j)
-            c = nid(i + 1, j + 1)
-            d = nid(i, j + 1)
-            triangles.append((a, b, d))
-            triangles.append((b, c, d))
-    triangles = np.asarray(triangles, dtype=np.int64)
+    # cell (i, j), row by row, has corners a, b, c, d counterclockwise from
+    # its lower left and splits into (a, b, d) and (b, c, d)
+    a = nid(np.arange(n - 1, dtype=np.int64), np.arange(n - 1)[:, None]).ravel()
+    b, c, d = a + 1, a + n + 1, a + n
+    triangles = np.stack([a, b, d, b, c, d], axis=1).reshape(-1, 3)
 
     boundary_edges: dict[tuple[int, int], str] = {}
     for k in range(n - 1):
@@ -159,15 +150,3 @@ def classify_boundary_nodes(mesh: TriMesh, tol: float = 1e-12) -> dict[int, Node
             kind = GAMMA_D
         out[k] = NodeClass(kind=kind, sides=frozenset(sides))
     return out
-
-
-def export_text(mesh: TriMesh) -> str:
-    """Plain-text dump: nodes, triangles, tagged boundary edges (debug aid)."""
-    lines = []
-    for p in mesh.nodes:
-        lines.append(f"{p[0]:.17g} {p[1]:.17g}")
-    for t in mesh.triangles:
-        lines.append(f"{t[0]} {t[1]} {t[2]}")
-    for (i, j), tag in sorted(mesh.boundary_edges.items()):
-        lines.append(f"{i} {j} {tag}")
-    return "\n".join(lines) + "\n"

@@ -19,6 +19,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+# relative tolerances: asymmetry taken as roundoff, accepted saddle residual
+SYMMETRY_RTOL = 1e-10
+RESIDUAL_RTOL = 1e-10
+
 
 class NonSymmetricMatrixError(ValueError):
     """Input matrix violates the symmetry contract."""
@@ -28,7 +32,7 @@ class SingularSaddleError(RuntimeError):
     """Saddle factorization failed or the solve left a large residual."""
 
 
-def _as_symmetric(S, what: str, rtol: float = 1e-10):
+def _as_symmetric(S, what: str):
     """Return the symmetrized CSC matrix after checking shape, entries and asymmetry."""
     if not sp.issparse(S):
         S = np.asarray(S, dtype=float)
@@ -40,10 +44,10 @@ def _as_symmetric(S, what: str, rtol: float = 1e-10):
     asym = abs(S - S.T)
     asym_max = asym.max() if asym.nnz else 0.0
     scale = abs(S).max() if S.nnz else 0.0
-    if asym_max > rtol * max(scale, 1e-300):
+    if asym_max > SYMMETRY_RTOL * max(scale, 1e-300):
         raise NonSymmetricMatrixError(
             f"{what} is not symmetric: max asymmetry {asym_max:.3e} "
-            f"exceeds {rtol:.0e} * max entry {scale:.3e}")
+            f"exceeds {SYMMETRY_RTOL:.0e} * max entry {scale:.3e}")
     return ((S + S.T) * 0.5).tocsc()
 
 
@@ -85,7 +89,7 @@ def smallest_eigenvalue(S) -> float:
     """Smallest algebraic eigenvalue of a symmetric matrix.
 
     Raises NonSymmetricMatrixError when the input violates the symmetry
-    tolerance (1e-10 relative), and ValueError on non-finite entries;
+    tolerance (SYMMETRY_RTOL relative), and ValueError on non-finite entries;
     otherwise the symmetrized matrix is used.
     """
     A = _as_symmetric(S, "eigenvalue input")
@@ -109,12 +113,12 @@ class SaddleSystem:
     rhs_p: np.ndarray
 
 
-def solve_saddle(system: SaddleSystem, residual_rtol: float = 1e-10):
+def solve_saddle(system: SaddleSystem):
     """Direct sparse LU solve of the full block system.
 
     Returns (w, p).  Raises SingularSaddleError when the factorization
     fails, produces non-finite values, or leaves a block residual larger
-    than residual_rtol relative to the right-hand side norm.
+    than RESIDUAL_RTOL relative to the right-hand side norm.
     """
     A = _as_symmetric(system.A_total, "saddle displacement block")
     B = sp.csr_matrix(system.B)
@@ -139,8 +143,8 @@ def solve_saddle(system: SaddleSystem, residual_rtol: float = 1e-10):
 
     resid = np.linalg.norm(K @ x - rhs)
     scale = max(np.linalg.norm(rhs), 1e-300)
-    if resid > residual_rtol * scale:
+    if resid > RESIDUAL_RTOL * scale:
         raise SingularSaddleError(
             f"{name}: block residual {resid:.3e} exceeds "
-            f"{residual_rtol:.0e} * ||rhs|| = {residual_rtol * scale:.3e}")
+            f"{RESIDUAL_RTOL:.0e} * ||rhs|| = {RESIDUAL_RTOL * scale:.3e}")
     return x[:n_u], x[n_u:]

@@ -22,6 +22,7 @@ from numpy.polynomial.legendre import leggauss
 from .mesh import GAMMA_D, TriMesh, classify_boundary_nodes
 
 MAX_QUAD_DEGREE = 20
+QUAD_DEGREE = 6  # the assembly rule, see make_quadrature
 
 # gradients of the barycentric hats with respect to the reference (x, y)
 _P1_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -44,10 +45,10 @@ class QuadratureRule:
         self.weights.setflags(write=False)
 
 
-def make_quadrature(degree: int = 6) -> QuadratureRule:
+def make_quadrature(degree: int) -> QuadratureRule:
     """Rule exact for all bivariate polynomials of the given total degree.
 
-    Degree 6 is the assembly default: bubble-gradient products are degree
+    Degree 6 is the assembly rule: bubble-gradient products are degree
     4, one extra degree comes from the linear weight in the load term,
     and one more is margin.
     """
@@ -112,7 +113,7 @@ def reference_basis(kind: str, point) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"unknown basis kind {kind!r}; expected 'p1' or 'bubble'")
 
 
-def tabulate_scalar_basis(rule: QuadratureRule, include_bubble: bool = True):
+def tabulate_scalar_basis(rule: QuadratureRule, include_bubble: bool):
     """Scalar basis table at the rule's points.
 
     Returns (values, grads) with values (n_basis, nq) and grads
@@ -144,7 +145,6 @@ class MixedSpace:
     mesh: TriMesh
     problem: int = 1
     include_bubbles: bool = True
-    quad_degree: int = 6
     n_u: int = field(init=False)
     n_p: int = field(init=False)
     elem_dofs: np.ndarray = field(init=False)
@@ -174,7 +174,7 @@ class MixedSpace:
         object.__setattr__(self, "n_u", n_u)
         object.__setattr__(self, "n_p", nn)
         object.__setattr__(self, "elem_dofs", elem_dofs)
-        object.__setattr__(self, "quadrature", make_quadrature(self.quad_degree))
+        object.__setattr__(self, "quadrature", make_quadrature(QUAD_DEGREE))
 
         constraints = build_constraints(self, self.problem)
         fixed = np.array(sorted(dof for dof, _ in constraints), dtype=np.int64)

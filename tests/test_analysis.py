@@ -85,8 +85,6 @@ def test_compute_M0_rejects_nonpositive():
         AbstractConstants(alpha=1.0, beta=-1.0, c1=1.0, c2=1.0)
     with pytest.raises(ValueError):
         AbstractConstants(alpha=1.0, beta=1.0, c1=1.0, c2=-0.5)
-    with pytest.raises(ValueError):
-        AbstractConstants(alpha=1.0, beta=1.0, c1=1.0, c2=1.0, beta1=0.0)
 
 
 def test_is_stable_pure_elasticity():

@@ -8,7 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabmix import ConvergenceRow, ConvergenceTable, StabilityReport
-from stabmix.cli import RunSpec, emit, main, parse_args, parse_emitted_json
+from stabmix.cli import RunSpec, emit, main, parse_args
+
+
+def parse_emitted_json(text: str) -> dict:
+    """Inverse of the json emitter: restores inf-valued loads as floats."""
+    doc = json.loads(text)
+    for row in doc.get("rows", []):
+        for key in ("gamma_m", "gamma_M"):
+            if key in row and isinstance(row[key], str):
+                row[key] = float(row[key])
+    return doc
 
 
 def test_parse_defaults_problem1():
@@ -160,6 +170,16 @@ def test_emit_deterministic():
     spec = _stability_spec()
     for fmt in ("csv", "json", "pretty"):
         assert emit(reports, fmt, spec) == emit(reports, fmt, spec)
+
+
+def test_emit_empty_report_follows_spec_command():
+    spec = _stability_spec()
+    csv = emit([], "csv", spec).splitlines()
+    assert csv[-1] == "problem,nodes,gamma_m,gamma_M"
+    doc = json.loads(emit([], "json", spec))
+    assert doc["command"] == "stability" and doc["rows"] == []
+    pretty = emit([], "pretty", spec).splitlines()
+    assert pretty[-1].split() == ["nodes", "gamma_m", "gamma_M"]
 
 
 def test_emit_unknown_format():

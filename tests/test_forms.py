@@ -6,10 +6,9 @@ from scipy import integrate
 
 from stabmix import (MixedSpace, assemble_coupling, assemble_divdiv,
                      assemble_elastic, assemble_h1_gram, assemble_load,
-                     assemble_pressure_mass, assemble_system,
-                     build_structured_mesh, elastic_parts, manufactured_load,
-                     smallest_eigenvalue, uniform_vertical_load)
-from stabmix.forms import export_coo, p1_scalar_stiffness
+                     assemble_pressure_mass, build_structured_mesh,
+                     elastic_parts, manufactured_load, smallest_eigenvalue)
+from stabmix.forms import p1_scalar_stiffness
 from stabmix.mesh import TriMesh
 from stabmix.spaces import make_quadrature
 
@@ -260,6 +259,12 @@ def test_coupling_matches_pointwise_oracle():
     assert q @ (B @ v) == pytest.approx(total, rel=1e-12)
 
 
+def uniform_vertical_load(x, y):
+    """Body force (0, 1)."""
+    z = np.zeros_like(np.asarray(x, dtype=float))
+    return np.stack([z, z + 1.0], axis=-1)
+
+
 def test_load_partition_of_unity():
     space = MixedSpace(build_structured_mesh(5), problem=1)
     F = assemble_load(space, uniform_vertical_load, reduced=False)
@@ -268,6 +273,10 @@ def test_load_partition_of_unity():
     zero = assemble_load(space, lambda x, y: np.zeros(x.shape + (2,)),
                          reduced=False)
     assert np.all(zero == 0.0)
+    # the load vector is linear in its scale
+    half = assemble_load(space, uniform_vertical_load, scale=0.5)
+    full = assemble_load(space, uniform_vertical_load)
+    assert np.allclose(half, 0.5 * full)
 
 
 def test_load_matches_adaptive_quadrature():
@@ -337,34 +346,8 @@ def test_divdiv_refinement_consistency():
     assert d2 <= d1 / 2.0
 
 
-def test_assemble_system_bundle():
-    space = MixedSpace(build_structured_mesh(4), problem=1)
-    sys = assemble_system(space, mu=40.0, gamma=80.0, f=uniform_vertical_load,
-                          scale=0.5)
-    nf = space.n_free
-    assert sys.A_elastic.shape == (nf, nf)
-    assert sys.S_divdiv.shape == (nf, nf)
-    assert sys.B_coupling.shape == (space.n_p, nf)
-    assert sys.M_pressure.shape == (space.n_p, space.n_p)
-    assert sys.K_V.shape == (nf, nf)
-    assert sys.load_u.shape == (nf,)
-    assert np.all(sys.load_p == 0.0)
-    half = assemble_load(space, uniform_vertical_load, scale=1.0)
-    assert np.allclose(sys.load_u, 0.5 * half)
-
-
 def test_deterministic_assembly():
     space = MixedSpace(build_structured_mesh(6), problem=2)
     A1 = assemble_elastic(space, 40.0, 285.0)
     A2 = assemble_elastic(space, 40.0, 285.0)
     assert (A1 != A2).nnz == 0
-    assert export_coo(A1) == export_coo(A2)
-
-
-def test_export_coo_roundtrip_values():
-    space = MixedSpace(build_structured_mesh(3), problem=1)
-    M = assemble_pressure_mass(space)
-    lines = export_coo(M).strip().splitlines()
-    assert len(lines) == M.nnz
-    r, c, v = lines[0].split()
-    assert M[int(r), int(c)] == pytest.approx(float(v), rel=1e-15)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from stabmix import (GAMMA_D, GAMMA_TOP, INTERIOR, build_structured_mesh,
                      classify_boundary_nodes)
-from stabmix.mesh import export_text
 
 
 def test_counts_smallest_mesh():
@@ -94,20 +93,7 @@ def test_classification():
     assert coords[(1.0, 1.0)].sides == {"right", "top"}
     assert coords[(-1.0, 1.0)].kind == GAMMA_D
     # bottom corners sit on two constrained sides at once
-    assert coords[(-1.0, -1.0)].is_corner
     assert coords[(-1.0, -1.0)].sides == {"left", "bottom"}
-
-
-def test_export_text_shape():
-    mesh = build_structured_mesh(3)
-    lines = export_text(mesh).strip().splitlines()
-    assert len(lines) == mesh.n_nodes + mesh.n_triangles + len(mesh.boundary_edges)
-    # node lines have 2 fields, triangle lines 3, edge lines 3 with a tag
-    assert len(lines[0].split()) == 2
-    tri_line = lines[mesh.n_nodes].split()
-    assert len(tri_line) == 3
-    edge_line = lines[mesh.n_nodes + mesh.n_triangles].split()
-    assert edge_line[2] in (GAMMA_TOP, GAMMA_D)
 
 
 def test_mesh_is_readonly():
