@@ -38,7 +38,7 @@ def main():
         table = run(spec)
         dt = time.perf_counter() - t0
         print(f"== Convergence, problem {problem}, "
-              f"gamma_tilde = {spec.gamma_tilde} ({dt:.0f}s)")
+              f"gamma_tilde = {spec.config.gamma_tilde} ({dt:.0f}s)")
         print(emit(table, "pretty", spec))
 
     print("== Classical method (M = 0), problem 1, 9x9")

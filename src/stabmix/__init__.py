@@ -11,9 +11,7 @@ from .analysis import (AbstractConstants, ConvergenceRow, ConvergenceTable,
 from .forms import (assemble_coupling, assemble_divdiv, assemble_elastic,
                     assemble_h1_gram, assemble_load, assemble_pressure_mass,
                     elastic_parts)
-from .mesh import (GAMMA_D, GAMMA_TOP, INTERIOR, build_structured_mesh,
-                   classify_boundary_nodes)
+from .mesh import build_structured_mesh
 from .solvers import (NonSymmetricMatrixError, SaddleSystem,
                       SingularSaddleError, smallest_eigenvalue, solve_saddle)
-from .spaces import (MixedSpace, build_constraints, make_quadrature,
-                     reference_basis)
+from .spaces import MixedSpace, make_quadrature, reference_basis

@@ -175,10 +175,12 @@ def is_stable(cfg: ProblemConfig):
 
 
 def _probe_magnitudes(cfg: ProblemConfig):
-    """Outward probe magnitudes: linear steps, then doubling, then the cap."""
+    """Outward probe magnitudes: linear steps, then doubling, then the cap;
+    none lies beyond the cap."""
     span = min(LINEAR_SPAN, cfg.gamma_cap)
-    k = int(round(span / cfg.scan_step))
-    probes = [cfg.scan_step * i for i in range(1, k + 1)]
+    # whole steps within the span, forgiving the rounding of an exact quotient
+    k = math.floor(span / cfg.scan_step * (1.0 + 1e-12))
+    probes = [min(cfg.scan_step * i, span) for i in range(1, k + 1)]
     t = probes[-1] if probes else cfg.scan_step
     while t * 2.0 < cfg.gamma_cap:
         t *= 2.0

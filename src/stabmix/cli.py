@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .analysis import (ConvergenceTable, ProblemConfig, StabilityReport,
                        estimate_inf_sup, find_stability_limits,
@@ -34,19 +34,12 @@ InfSupRow = namedtuple("InfSupRow", "n beta1")
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Fully resolved description of one CLI run."""
+    """Fully resolved description of one CLI run; config is the first
+    mesh's."""
 
     command: str
-    problem: int
     meshes: tuple
-    mu: float
-    m1: float
-    m2: float
-    gamma_tilde: float
-    delta_gamma: float
-    scan_step: float
-    bisect_tol: float
-    cap: float
+    config: ProblemConfig
     classical: bool
     drop_bubbles: bool
     fmt: str
@@ -74,8 +67,8 @@ def _order(missing: str):
 # shows, the csv, json and pretty renderings of that value, and its pretty
 # header and width (no pretty header: csv and json only).
 Column = namedtuple("Column", "key attr csv json pretty header width")
-# A command's columns, and the RunSpec settings its provenance header and
-# json defaults add, under a label and a note.
+# A command's columns, and the settings its provenance header and json
+# defaults add (key -> ProblemConfig field), under a label and a note.
 Table = namedtuple("Table", "columns settings label note")
 
 _NODES = Column("nodes", "n", str, _same, "{0}x{0}".format, "nodes", 8)
@@ -86,18 +79,19 @@ TABLES = {
         (Column("problem", "problem", str, _same, None, None, 0), _NODES,
          Column("gamma_m", "gamma_m", *_LOAD, "gamma_m", 10),
          Column("gamma_M", "gamma_M", *_LOAD, "gamma_M", 10)),
-        ("scan_step", "bisect_tol", "cap"), "detection",
+        {"scan_step": "scan_step", "bisect_tol": "bisect_tol",
+         "cap": "gamma_cap"}, "detection",
         "two-decimal critical loads, unbounded beyond the cap"),
     "convergence": Table(
         (_NODES,
          Column("err_p_L2", "err_p_L2", _SCI, _same, _SCI, "||p-p_h||_0", 12),
          Column("err_w_H1", "err_w_H1", _SCI, _same, _SCI, "||w-w_h||_1", 12),
          Column("order", "order", _order(""), _same, _order("--"), "order", 6)),
-        ("gamma_tilde", "delta_gamma"), "study",
+        {"gamma_tilde": "gamma_tilde", "delta_gamma": "delta_gamma"}, "study",
         "reference load factor, unit increment"),
     "infsup": Table(
         (_NODES, Column("beta1", "beta1", "{:.6f}".format, _same,
-                        "{:.4f}".format, "beta1", 8)), (), None, None),
+                        "{:.4f}".format, "beta1", 8)), {}, None, None),
 }
 
 # argparse destinations that are ProblemConfig fields
@@ -179,35 +173,25 @@ def parse_args(argv) -> RunSpec:
         configs = [ProblemConfig(n=n, **opts) for n in meshes]
     except ValueError as err:
         parser.error(str(err))
-    cfg = configs[0]
 
-    return RunSpec(
-        command=ns.command, problem=cfg.problem, meshes=meshes, mu=cfg.mu,
-        m1=cfg.m1, m2=cfg.m2, gamma_tilde=cfg.gamma_tilde,
-        delta_gamma=cfg.delta_gamma, scan_step=cfg.scan_step,
-        bisect_tol=cfg.bisect_tol, cap=cfg.gamma_cap, classical=classical,
-        drop_bubbles=getattr(ns, "drop_bubbles", False), fmt=ns.fmt,
-        output=ns.output)
-
-
-def _config(spec: RunSpec, n: int) -> ProblemConfig:
-    return ProblemConfig(problem=spec.problem, n=n, mu=spec.mu, m1=spec.m1,
-                         m2=spec.m2, gamma_tilde=spec.gamma_tilde,
-                         delta_gamma=spec.delta_gamma,
-                         scan_step=spec.scan_step, bisect_tol=spec.bisect_tol,
-                         gamma_cap=spec.cap)
+    return RunSpec(command=ns.command, meshes=meshes, config=configs[0],
+                   classical=classical,
+                   drop_bubbles=getattr(ns, "drop_bubbles", False),
+                   fmt=ns.fmt, output=ns.output)
 
 
 def run(spec: RunSpec):
     """Execute the run and return the report object for emission."""
     if spec.command == "stability":
-        return [find_stability_limits(_config(spec, n)) for n in spec.meshes]
+        return [find_stability_limits(replace(spec.config, n=n))
+                for n in spec.meshes]
     if spec.command == "convergence":
-        return run_convergence(_config(spec, spec.meshes[0]), spec.meshes)
+        return run_convergence(spec.config, spec.meshes)
     if spec.command == "infsup":
         rows = []
         for n in spec.meshes:
-            space = MixedSpace(build_structured_mesh(n), problem=spec.problem,
+            space = MixedSpace(build_structured_mesh(n),
+                               problem=spec.config.problem,
                                include_bubbles=not spec.drop_bubbles)
             rows.append(InfSupRow(n, estimate_inf_sup(space)))
         return rows
@@ -215,13 +199,15 @@ def run(spec: RunSpec):
 
 
 def _provenance_lines(spec: RunSpec, table: Table):
+    cfg = spec.config
     lines = [
-        f"# model defaults: mu={spec.mu:g} m1={spec.m1:g} m2={spec.m2:g} "
-        f"(reference stabilized setup for problem {spec.problem}"
+        f"# model defaults: mu={cfg.mu:g} m1={cfg.m1:g} m2={cfg.m2:g} "
+        f"(reference stabilized setup for problem {cfg.problem}"
         + ("; classical M=0 requested" if spec.classical else "") + ")",
     ]
     if table.settings:
-        values = " ".join(f"{key}={getattr(spec, key):g}" for key in table.settings)
+        values = " ".join(f"{key}={getattr(cfg, name):g}"
+                          for key, name in table.settings.items())
         lines.append(f"# {table.label} defaults: {values} ({table.note})")
     lines.append(
         f"# mesh family: {','.join(str(n) for n in spec.meshes)} "
@@ -266,9 +252,10 @@ def emit(report, fmt: str, spec: RunSpec | None = None) -> str:
     table = TABLES[command]
     if fmt == "json":
         defaults = {} if spec is None else {
-            "mu": spec.mu, "m1": spec.m1, "m2": spec.m2,
+            "mu": spec.config.mu, "m1": spec.config.m1, "m2": spec.config.m2,
             "meshes": list(spec.meshes),
-            **{key: getattr(spec, key) for key in table.settings}}
+            **{key: getattr(spec.config, name)
+               for key, name in table.settings.items()}}
         out = [{c.key: c.json(getattr(r, c.attr)) for c in table.columns}
                for r in rows]
         return json.dumps({"command": command, "defaults": defaults,

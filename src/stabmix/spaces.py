@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .mesh import GAMMA_D, TriMesh, classify_boundary_nodes
+from .mesh import TriMesh
 
 MAX_QUAD_DEGREE = 20
 QUAD_DEGREE = 6  # the assembly rule, see make_quadrature
+BOUNDARY_TOL = 1e-12  # a node within this of x = +-1 or y = -1 is on that side
 
 # gradients of the barycentric hats with respect to the reference (x, y)
 _P1_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -137,9 +138,14 @@ class MixedSpace:
     Displacement dofs: x/y component per vertex hat, then x/y per element
     bubble (2*(n_nodes + n_tris) in total; bubbles can be dropped for the
     deliberately unstable P1/P1 control mode).  Pressure dofs: one per
-    vertex.  The constraint set lists (dof, 0.0) pairs implied by the
-    problem's boundary conditions; constraints are imposed by reduction
-    to the free dofs, never by penalties.
+    vertex.
+
+    The boundary conditions are homogeneous and imposed by reduction to
+    ``free_dofs``, never by penalties.  Problem 1 clamps both components
+    on the sides |x| = 1 and the bottom y = -1, upper corners included;
+    problem 2 fixes the normal component only: x on the sides, y on the
+    bottom, both at the bottom corners.  The open top and the bubbles
+    are never constrained.
     """
 
     mesh: TriMesh
@@ -148,7 +154,6 @@ class MixedSpace:
     n_u: int = field(init=False)
     n_p: int = field(init=False)
     elem_dofs: np.ndarray = field(init=False)
-    constraints: list = field(init=False)
     free_dofs: np.ndarray = field(init=False)
     quadrature: QuadratureRule = field(init=False)
 
@@ -176,45 +181,18 @@ class MixedSpace:
         object.__setattr__(self, "elem_dofs", elem_dofs)
         object.__setattr__(self, "quadrature", make_quadrature(QUAD_DEGREE))
 
-        constraints = build_constraints(self, self.problem)
-        fixed = np.array(sorted(dof for dof, _ in constraints), dtype=np.int64)
-        free = np.setdiff1d(np.arange(n_u, dtype=np.int64), fixed)
+        x, y = self.mesh.nodes.T
+        side = np.abs(x) >= 1.0 - BOUNDARY_TOL
+        bottom = y <= -1.0 + BOUNDARY_TOL
+        walls = side | bottom
+        fixed = np.zeros(n_u, dtype=bool)
+        fixed[0:2 * nn:2] = walls if self.problem == 1 else side  # x
+        fixed[1:2 * nn:2] = walls if self.problem == 1 else bottom  # y
+        free = np.flatnonzero(~fixed)
         free.setflags(write=False)
-        object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "free_dofs", free)
-
-    @property
-    def n_free(self) -> int:
-        return self.free_dofs.shape[0]
 
     @property
     def local_basis_size(self) -> int:
         return 4 if self.include_bubbles else 3
 
-
-def build_constraints(space: MixedSpace, problem: int) -> list[tuple[int, float]]:
-    """Homogeneous displacement constraints for the two model problems.
-
-    Problem 1 clamps both components at every constrained-boundary node.
-    Problem 2 zeroes the normal component only: x on the side edges, y on
-    the bottom edge, both at the bottom corners where two normals meet.
-    The upper corners belong to the closed constrained sides, so they
-    carry the side-edge constraint in both problems.  Bubbles vanish on
-    element boundaries and are never constrained.
-    """
-    if problem not in (1, 2):
-        raise ValueError(f"unknown problem id {problem!r}; expected 1 or 2")
-    classes = classify_boundary_nodes(space.mesh)
-    constraints: list[tuple[int, float]] = []
-    for node, cls in sorted(classes.items()):
-        if cls.kind != GAMMA_D:
-            continue
-        if problem == 1:
-            constraints.append((2 * node, 0.0))
-            constraints.append((2 * node + 1, 0.0))
-        else:
-            if "left" in cls.sides or "right" in cls.sides:
-                constraints.append((2 * node, 0.0))
-            if "bottom" in cls.sides:
-                constraints.append((2 * node + 1, 0.0))
-    return constraints

@@ -111,6 +111,24 @@ def test_probe_schedule_structure():
     assert after[:3] == [16.0, 32.0, 64.0]
     assert probes[-1] == cfg.gamma_cap
     assert all(b > a for a, b in zip(probes, probes[1:]))
+    # the default schedule in full: 32 quarter steps, doubling, the cap
+    assert probes == ([0.25 * i for i in range(1, 33)]
+                      + [8.0 * 2 ** k for k in range(1, 17)] + [1e6])
+    # a step that does not divide the cap never probes beyond it
+    for step, cap in ((0.3, 3.8), (0.3, 3.9), (0.7, 0.5), (3.0, 100.0)):
+        probes = _probe_magnitudes(ProblemConfig(scan_step=step, gamma_cap=cap))
+        assert all(0.0 < t <= cap for t in probes)
+        assert probes[-1] == cap
+        assert all(b > a for a, b in zip(probes, probes[1:]))
+
+
+def test_scan_stays_within_cap():
+    # 9x9 problem 2 loses stability near 3.86; a 0.3 step rounded up to a
+    # 3.9 probe used to report that load although the cap is 3.8
+    cfg = ProblemConfig(problem=2, n=9, scan_step=0.3, gamma_cap=3.8)
+    rep = find_stability_limits(cfg)
+    assert max(abs(gt) for gt, _ in rep.trace) <= cfg.gamma_cap
+    assert rep.gamma_M == math.inf
 
 
 def test_find_stability_limits_small_mesh():
@@ -171,7 +189,7 @@ def test_compute_errors_interpolant_vs_adaptive_oracle():
     space = MixedSpace(build_structured_mesh(3), problem=1)
     mesh = space.mesh
     p_h = manufactured_pressure(mesh.nodes[:, 0], mesh.nodes[:, 1])
-    err_p, _ = compute_errors(space, np.zeros(space.n_free), p_h,
+    err_p, _ = compute_errors(space, np.zeros(len(space.free_dofs)), p_h,
                               exact_pressure=manufactured_pressure)
 
     total = 0.0
@@ -199,11 +217,11 @@ def test_compute_errors_displacement_gradient_matches_oracle():
     nodes = base.nodes.copy()
     interior = np.all(np.abs(nodes) < 1.0 - 1e-12, axis=1)
     rng = np.random.default_rng(17)
-    nodes[interior] += 0.15 * base.h * rng.uniform(-1.0, 1.0, (interior.sum(), 2))
-    mesh = TriMesh(grid_n=4, nodes=nodes, triangles=base.triangles,
-                   boundary_edges=base.boundary_edges)
+    h = 2.0 / (4 - 1)
+    nodes[interior] += 0.15 * h * rng.uniform(-1.0, 1.0, (interior.sum(), 2))
+    mesh = TriMesh(nodes, base.triangles)
     space = MixedSpace(mesh, problem=1)
-    w_h = rng.standard_normal(space.n_free)
+    w_h = rng.standard_normal(len(space.free_dofs))
     # an exact field with a nonsymmetric gradient, [c, i] = d_i w_c
     w_ex = lambda x, y: np.stack([np.sin(x) + y * y, x * y ** 3], axis=-1)
     gw_ex = lambda x, y: np.stack([np.stack([np.cos(x), 2.0 * y], axis=-1),
@@ -248,7 +266,7 @@ def test_zero_load_gives_zero_solution():
     space = MixedSpace(build_structured_mesh(5), problem=1)
     A = assemble_elastic(space, mu=40.0, gamma=0.0)
     B = assemble_coupling(space)
-    u, p = solve_saddle(SaddleSystem(A, B, np.zeros(space.n_free),
+    u, p = solve_saddle(SaddleSystem(A, B, np.zeros(len(space.free_dofs)),
                                      np.zeros(space.n_p)))
     assert np.allclose(u, 0.0, atol=1e-14)
     assert np.allclose(p, 0.0, atol=1e-14)

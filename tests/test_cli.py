@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabmix import ConvergenceRow, ConvergenceTable, StabilityReport
+from stabmix import (ConvergenceRow, ConvergenceTable, ProblemConfig,
+                     StabilityReport)
 from stabmix.cli import RunSpec, emit, main, parse_args
 
 
@@ -25,9 +26,11 @@ def test_parse_defaults_problem1():
     spec = parse_args(["stability", "--problem", "1", "--nodes", "17"])
     assert spec.command == "stability"
     assert spec.meshes == (17,)
-    assert spec.mu == 40.0 and spec.m1 == 320.0 and spec.m2 == 0.0
-    assert spec.scan_step == 0.25 and spec.bisect_tol == 0.01
-    assert spec.cap == 1e6
+    cfg = spec.config
+    assert cfg.n == 17
+    assert cfg.mu == 40.0 and cfg.m1 == 320.0 and cfg.m2 == 0.0
+    assert cfg.scan_step == 0.25 and cfg.bisect_tol == 0.01
+    assert cfg.gamma_cap == 1e6
     assert not spec.classical
 
 
@@ -39,18 +42,20 @@ def test_parse_defaults_mesh_family():
 def test_parse_convergence_problem2():
     spec = parse_args(["convergence", "--problem", "2",
                        "--gamma-tilde", "3.23"])
-    assert spec.problem == 2
-    assert spec.m2 == 1.36
-    assert spec.gamma_tilde == 3.23
-    assert spec.delta_gamma == 1.0
+    cfg = spec.config
+    assert cfg.problem == 2
+    assert cfg.m2 == 1.36
+    assert cfg.gamma_tilde == 3.23
+    assert cfg.delta_gamma == 1.0
     # the load factor defaults by problem when omitted
-    assert parse_args(["convergence", "--problem", "1"]).gamma_tilde == 7.125
-    assert parse_args(["convergence", "--problem", "2"]).gamma_tilde == 3.23
+    for problem, gt in ((1, 7.125), (2, 3.23)):
+        spec = parse_args(["convergence", "--problem", str(problem)])
+        assert spec.config.gamma_tilde == gt
 
 
 def test_parse_classical_flag():
     spec = parse_args(["stability", "--classical", "--nodes", "9"])
-    assert spec.classical and spec.m1 == 0.0 and spec.m2 == 0.0
+    assert spec.classical and spec.config.m1 == 0.0 and spec.config.m2 == 0.0
 
 
 def test_parse_usage_errors_exit_nonzero():
@@ -77,13 +82,10 @@ def test_parse_non_finite_is_usage_error(capsys):
         assert exc.value.code == 2
 
 
-def _stability_spec(**over):
-    base = dict(command="stability", problem=1, meshes=(5,), mu=40.0,
-                m1=320.0, m2=0.0, gamma_tilde=7.125, delta_gamma=1.0,
-                scan_step=0.25, bisect_tol=0.01, cap=1e6, classical=False,
-                drop_bubbles=False, fmt="csv", output=None)
-    base.update(over)
-    return RunSpec(**base)
+def _stability_spec(meshes=(5,)):
+    config = ProblemConfig(problem=1, n=meshes[0], gamma_tilde=7.125)
+    return RunSpec(command="stability", meshes=meshes, config=config,
+                   classical=False, drop_bubbles=False, fmt="csv", output=None)
 
 
 def test_emit_stability_csv_row():

@@ -78,10 +78,12 @@ def jittered_space(n, problem, seed, include_bubbles=True):
     nodes = base.nodes.copy()
     interior = np.all(np.abs(nodes) < 1.0 - 1e-12, axis=1)
     rng = np.random.default_rng(seed)
-    nodes[interior] += 0.15 * base.h * rng.uniform(-1.0, 1.0, (interior.sum(), 2))
-    mesh = TriMesh(grid_n=n, nodes=nodes, triangles=base.triangles,
-                   boundary_edges=base.boundary_edges)
-    assert np.all(mesh.signed_areas() > 0.0)
+    h = 2.0 / (n - 1)
+    nodes[interior] += 0.15 * h * rng.uniform(-1.0, 1.0, (interior.sum(), 2))
+    p = nodes[base.triangles]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    assert np.all(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0.0)
+    mesh = TriMesh(nodes, base.triangles)
     return MixedSpace(mesh, problem=problem, include_bubbles=include_bubbles)
 
 

@@ -1,19 +1,30 @@
-"""Mesh construction, tagging and classification."""
+"""Mesh construction, and the boundary sides the spaces read off it."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabmix import (GAMMA_D, GAMMA_TOP, INTERIOR, build_structured_mesh,
-                     classify_boundary_nodes)
+from stabmix import MixedSpace, build_structured_mesh
+
+
+def signed_areas(mesh):
+    p = mesh.nodes[mesh.triangles]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def spacing(mesh):
+    """The distinct gaps between neighbouring x and y grid lines."""
+    return {float(g) for axis in (0, 1)
+            for g in np.round(np.diff(np.unique(mesh.nodes[:, axis])), 12)}
 
 
 def test_counts_smallest_mesh():
     mesh = build_structured_mesh(2)
     assert mesh.n_nodes == 4
     assert mesh.n_triangles == 2
-    assert mesh.signed_areas().sum() == pytest.approx(4.0, abs=1e-12)
+    assert signed_areas(mesh).sum() == pytest.approx(4.0, abs=1e-12)
 
 
 def test_counts_reference_meshes():
@@ -40,10 +51,10 @@ def test_mesh_invariants(n):
     mesh = build_structured_mesh(n)
     assert mesh.n_nodes == n * n
     assert mesh.n_triangles == 2 * (n - 1) ** 2
-    areas = mesh.signed_areas()
+    areas = signed_areas(mesh)
     assert np.all(areas > 0)
     assert abs(areas.sum() - 4.0) <= 1e-12
-    assert mesh.h == pytest.approx(2.0 / (n - 1))
+    assert spacing(mesh) == {round(2.0 / (n - 1), 12)}
 
 
 @settings(deadline=None, max_examples=10)
@@ -55,45 +66,42 @@ def test_edge_sharing(n):
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
             key = (min(a, b), max(a, b))
             counts[key] = counts.get(key, 0) + 1
-    boundary = set(mesh.boundary_edges)
+    # a boundary edge has both ends on one side x = +-1 or y = +-1
+    x, y = mesh.nodes.T
+    boundary = {(i, j) for i, j in counts
+                if any(abs(c[i]) == 1.0 and c[i] == c[j] for c in (x, y))}
+    assert len(boundary) == 4 * (n - 1)
     for key, cnt in counts.items():
-        if key in boundary:
-            assert cnt == 1
-        else:
-            assert cnt == 2
-    # every tagged edge is a real mesh edge with exactly one tag
-    assert boundary <= set(counts)
-
-
-def test_boundary_tags():
-    mesh = build_structured_mesh(5)
-    for (i, j), tag in mesh.boundary_edges.items():
-        both_top = mesh.nodes[i, 1] == 1.0 and mesh.nodes[j, 1] == 1.0
-        assert tag == (GAMMA_TOP if both_top else GAMMA_D)
-    n_boundary_edges = sum(1 for _ in mesh.boundary_edges)
-    assert n_boundary_edges == 4 * 4
+        assert cnt == (1 if key in boundary else 2)
 
 
 def test_refinement_halves_h():
     for n in (5, 9, 17):
-        coarse = build_structured_mesh(n)
-        fine = build_structured_mesh(2 * n - 1)
-        assert fine.h == pytest.approx(coarse.h / 2.0)
+        (coarse,) = spacing(build_structured_mesh(n))
+        (fine,) = spacing(build_structured_mesh(2 * n - 1))
+        assert fine == pytest.approx(coarse / 2.0)
 
 
 def test_classification():
+    """Which displacement components each kind of node has fixed, as
+    (x fixed, y fixed) per problem."""
     mesh = build_structured_mesh(5)
-    classes = classify_boundary_nodes(mesh)
-    coords = {tuple(mesh.nodes[k]): cls for k, cls in classes.items()}
-    assert coords[(0.0, 1.0)].kind == GAMMA_TOP
-    assert coords[(-1.0, 0.0)].kind == GAMMA_D
-    assert coords[(0.0, 0.0)].kind == INTERIOR
+    fixed = {}
+    for problem in (1, 2):
+        space = MixedSpace(mesh, problem=problem)
+        free = set(space.free_dofs.tolist())
+        for k in range(mesh.n_nodes):
+            key = (problem, *mesh.nodes[k])
+            fixed[key] = (2 * k not in free, 2 * k + 1 not in free)
+    # the open top is traction free, the interior unconstrained
+    assert fixed[(1, 0.0, 1.0)] == fixed[(2, 0.0, 1.0)] == (False, False)
+    assert fixed[(1, 0.0, 0.0)] == fixed[(2, 0.0, 0.0)] == (False, False)
+    assert fixed[(1, -1.0, 0.0)] == (True, True)
     # the top corners belong to the constrained closed sides
-    assert coords[(1.0, 1.0)].kind == GAMMA_D
-    assert coords[(1.0, 1.0)].sides == {"right", "top"}
-    assert coords[(-1.0, 1.0)].kind == GAMMA_D
+    assert fixed[(1, 1.0, 1.0)] == fixed[(1, -1.0, 1.0)] == (True, True)
+    assert fixed[(2, 1.0, 1.0)] == fixed[(2, -1.0, 1.0)] == (True, False)
     # bottom corners sit on two constrained sides at once
-    assert coords[(-1.0, -1.0)].sides == {"left", "bottom"}
+    assert fixed[(2, -1.0, -1.0)] == fixed[(2, 1.0, -1.0)] == (True, True)
 
 
 def test_mesh_is_readonly():

@@ -1,4 +1,4 @@
-"""Quadrature rules, reference bases, dof maps and constraints."""
+"""Quadrature rules, reference bases, dof maps and boundary conditions."""
 
 from math import factorial
 
@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabmix import (MixedSpace, build_constraints, build_structured_mesh,
-                     make_quadrature, reference_basis)
+from stabmix import (MixedSpace, build_structured_mesh, make_quadrature,
+                     reference_basis)
 from stabmix.spaces import MAX_QUAD_DEGREE
 
 
@@ -113,38 +113,79 @@ def test_unknown_problem():
         MixedSpace(mesh, problem=3)
 
 
+def fixed_dofs(space):
+    """The constrained displacement dofs: the complement of free_dofs."""
+    return np.setdiff1d(np.arange(space.n_u), space.free_dofs)
+
+
+def reference_fixed_dofs(mesh, problem, tol=1e-12):
+    """Per-node classification of the fixed dofs, written out side by side.
+
+    A node is on the constrained boundary when it lies on the left, right
+    or bottom side; the open top alone (y = 1, -1 < x < 1) is free.
+    Problem 1 fixes both components there, problem 2 the normal one: x on
+    the left and right sides, y on the bottom.
+    """
+    fixed = []
+    for k, (x, y) in enumerate(mesh.nodes):
+        sides = set()
+        if x <= -1.0 + tol:
+            sides.add("left")
+        if x >= 1.0 - tol:
+            sides.add("right")
+        if y <= -1.0 + tol:
+            sides.add("bottom")
+        if not sides:
+            continue
+        if problem == 1 or sides & {"left", "right"}:
+            fixed.append(2 * k)
+        if problem == 1 or "bottom" in sides:
+            fixed.append(2 * k + 1)
+    return fixed
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=2, max_value=40), st.sampled_from([1, 2]),
+       st.booleans())
+def test_free_dofs_match_node_classification(n, problem, include_bubbles):
+    mesh = build_structured_mesh(n)
+    space = MixedSpace(mesh, problem=problem, include_bubbles=include_bubbles)
+    expected_fixed = reference_fixed_dofs(mesh, problem)
+    expected_free = sorted(set(range(space.n_u)) - set(expected_fixed))
+    assert space.free_dofs.tolist() == expected_free
+
+
 @pytest.mark.parametrize("n", [3, 5, 9])
 def test_constraint_counts(n):
     mesh = build_structured_mesh(n)
     clamped = MixedSpace(mesh, problem=1)
     sliding = MixedSpace(mesh, problem=2)
     n_gamma_d = 4 * (n - 1) - (n - 2)  # all boundary nodes minus open top
-    assert len(clamped.constraints) == 2 * n_gamma_d
-    assert len(sliding.constraints) == n_gamma_d + 2  # bottom corners twice
+    assert len(fixed_dofs(clamped)) == 2 * n_gamma_d
+    assert len(fixed_dofs(sliding)) == n_gamma_d + 2  # bottom corners twice
 
 
 def test_constraint_dofs_valid_and_unique():
     mesh = build_structured_mesh(7)
     for problem in (1, 2):
         space = MixedSpace(mesh, problem=problem)
-        dofs = [dof for dof, val in space.constraints]
-        assert len(dofs) == len(set(dofs))
-        assert all(0 <= d < space.n_u for d in dofs)
-        assert all(val == 0.0 for _, val in space.constraints)
+        free = space.free_dofs
+        assert np.all(np.diff(free) > 0)  # sorted, no repeats
+        assert 0 <= free[0] and free[-1] < space.n_u
         # bubbles vanish on element boundaries and are never constrained
-        assert all(d < 2 * mesh.n_nodes for d in dofs)
-        assert set(space.free_dofs) | set(dofs) == set(range(space.n_u))
+        assert np.all(fixed_dofs(space) < 2 * mesh.n_nodes)
+        assert len(fixed_dofs(space)) + len(free) == space.n_u
 
 
 def test_constraint_components():
     mesh = build_structured_mesh(5)
     xy = {tuple(mesh.nodes[k]): k for k in range(mesh.n_nodes)}
 
-    clamped = dict.fromkeys(d for d, _ in MixedSpace(mesh, problem=1).constraints)
+    clamped = set(fixed_dofs(MixedSpace(mesh, problem=1)).tolist())
     k = xy[(-1.0, 0.0)]
     assert 2 * k in clamped and 2 * k + 1 in clamped
 
-    sliding = dict.fromkeys(d for d, _ in MixedSpace(mesh, problem=2).constraints)
+    sliding = set(fixed_dofs(MixedSpace(mesh, problem=2)).tolist())
     k = xy[(0.0, -1.0)]            # bottom edge: normal is vertical
     assert 2 * k not in sliding and 2 * k + 1 in sliding
     k = xy[(-1.0, 0.5)]            # side edge: normal is horizontal
@@ -155,11 +196,3 @@ def test_constraint_components():
     assert 2 * k in sliding and 2 * k + 1 not in sliding
     k = xy[(0.0, 1.0)]             # open top: traction free
     assert 2 * k not in sliding and 2 * k + 1 not in sliding
-
-
-def test_build_constraints_matches_space():
-    mesh = build_structured_mesh(5)
-    space = MixedSpace(mesh, problem=2)
-    assert build_constraints(space, 2) == space.constraints
-    with pytest.raises(ValueError):
-        build_constraints(space, 7)
