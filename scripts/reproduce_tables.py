@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Reproduce the four reference tables and the classical-method check.
+"""Reproduce the critical-load, convergence and inf-sup tables and the
+classical-method check.
 
 Runs the stabilized critical-load scans for both model problems, the two
-manufactured-solution convergence studies, and the unstabilized sanity
-probes.  Takes about 13 s on a 2-core machine; the 33x33 scans dominate.
+manufactured-solution convergence studies, the inf-sup estimates of the
+MINI pair and of its bubble-stripped P1/P1 control, and the unstabilized
+sanity probes.  Takes about 15 s on a 2-core machine; the 33x33 scans
+dominate.
 
     python3 scripts/reproduce_tables.py [--meshes 5,9,17,33] [--skip-stability]
 """
@@ -15,31 +18,38 @@ from stabmix import ProblemConfig, is_stable
 from stabmix.cli import emit, parse_args, run
 
 
+def print_table(title, argv):
+    """Run one CLI table and print it under its title and run time; the
+    title may name fields of the run's ProblemConfig as {config.field}."""
+    spec = parse_args(argv)
+    t0 = time.perf_counter()
+    result = run(spec)
+    dt = time.perf_counter() - t0
+    print(f"== {title.format(config=spec.config)} ({dt:.0f}s)")
+    print(emit(result, "pretty", spec))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--meshes", default="5,9,17,33")
     parser.add_argument("--skip-stability", action="store_true",
-                        help="only run the fast convergence studies")
+                        help="only run the fast convergence and inf-sup studies")
     args = parser.parse_args()
     nodes = ["--nodes", args.meshes]
 
     if not args.skip_stability:
         for problem in (1, 2):
-            spec = parse_args(["stability", "--problem", str(problem)] + nodes)
-            t0 = time.perf_counter()
-            reports = run(spec)
-            dt = time.perf_counter() - t0
-            print(f"== Stability limits, problem {problem} ({dt:.0f}s)")
-            print(emit(reports, "pretty", spec))
+            print_table(f"Stability limits, problem {problem}",
+                        ["stability", "--problem", str(problem)] + nodes)
 
     for problem in (1, 2):
-        spec = parse_args(["convergence", "--problem", str(problem)] + nodes)
-        t0 = time.perf_counter()
-        table = run(spec)
-        dt = time.perf_counter() - t0
-        print(f"== Convergence, problem {problem}, "
-              f"gamma_tilde = {spec.config.gamma_tilde} ({dt:.0f}s)")
-        print(emit(table, "pretty", spec))
+        print_table(f"Convergence, problem {problem}, "
+                    "gamma_tilde = {config.gamma_tilde}",
+                    ["convergence", "--problem", str(problem)] + nodes)
+
+    for pair, extra in (("MINI", []), ("P1/P1 control", ["--drop-bubbles"])):
+        print_table(f"Inf-sup constant, problem 1, {pair}",
+                    ["infsup", "--problem", "1"] + nodes + extra)
 
     print("== Classical method (M = 0), problem 1, 9x9")
     for gt in (0.5, 2.0):

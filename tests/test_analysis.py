@@ -4,16 +4,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
 from stabmix import (AbstractConstants, MixedSpace, ProblemConfig,
-                     assemble_coupling, build_structured_mesh, compute_M0,
+                     assemble_coupling, assemble_h1_gram,
+                     assemble_pressure_mass, build_structured_mesh, compute_M0,
                      compute_errors, estimate_inf_sup, find_stability_limits,
                      is_stable, manufactured_pressure, run_convergence,
                      stabilization_parameter)
-from stabmix.analysis import _StabilityOperator, _probe_magnitudes
+from stabmix.analysis import KERNEL_RTOL, _StabilityOperator, _probe_magnitudes
 from stabmix.mesh import TriMesh
 from stabmix.spaces import make_quadrature
 
@@ -163,6 +166,54 @@ def test_infsup_mini_vs_p1p1():
                                            include_bubbles=False))
                for n in (5, 9, 17)]
     assert control[0] > control[1] > control[2]
+
+
+def dense_inf_sup(space):
+    """The dense computation that estimate_inf_sup replaced: the full Schur
+    complement and a generalized eigh, skipping eigenvalues below
+    KERNEL_RTOL times the largest."""
+    B = assemble_coupling(space)
+    Mp = assemble_pressure_mass(space)
+    lu = spla.splu(assemble_h1_gram(space).tocsc())
+    schur = B @ lu.solve(B.toarray().T)
+    w = sla.eigh(0.5 * (schur + schur.T), Mp.toarray(), eigvals_only=True)
+    n_kernel = int(np.sum(w < KERNEL_RTOL * max(w[-1], 1e-300)))
+    if n_kernel >= len(w):
+        return 0.0
+    return math.sqrt(max(w[n_kernel], 0.0))
+
+
+@pytest.mark.parametrize("bubbles", [True, False])
+@pytest.mark.parametrize("problem", [1, 2])
+@pytest.mark.parametrize("n", [5, 9, 17])
+def test_infsup_matches_dense_oracle(n, problem, bubbles):
+    space = MixedSpace(build_structured_mesh(n), problem=problem,
+                       include_bubbles=bubbles)
+    assert estimate_inf_sup(space) == pytest.approx(dense_inf_sup(space),
+                                                    rel=1e-10)
+
+
+@pytest.mark.parametrize("problem, bubbles, n, beta1", [
+    (1, True, 2, 0.37416574), (1, True, 3, 0.26201159),
+    # no free displacement dofs on 2x2: every pressure is a kernel mode
+    (1, False, 2, 0.0), (1, False, 3, 0.31145918),
+    (2, True, 2, 0.37321792), (2, True, 3, 0.38414334),
+    (2, False, 2, 0.42440813), (2, False, 3, 0.10694763),
+])
+def test_infsup_smallest_meshes(problem, bubbles, n, beta1):
+    # n_p = 4 and 9: the kernel search reaches ARPACK's limit k < n_p - 1
+    space = MixedSpace(build_structured_mesh(n), problem=problem,
+                       include_bubbles=bubbles)
+    assert estimate_inf_sup(space) == pytest.approx(beta1, rel=1e-6)
+
+
+def test_infsup_65():
+    # dense-oracle values of this mesh (four kernel modes without bubbles)
+    mesh = build_structured_mesh(65)
+    mini = estimate_inf_sup(MixedSpace(mesh, problem=1))
+    control = estimate_inf_sup(MixedSpace(mesh, problem=1, include_bubbles=False))
+    assert mini == pytest.approx(0.31266023, rel=1e-6)
+    assert control == pytest.approx(0.0075508636, rel=1e-6)
 
 
 def test_compute_errors_exact_discrete_field_is_zero():
