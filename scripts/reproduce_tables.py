@@ -2,11 +2,11 @@
 """Reproduce the critical-load, convergence and inf-sup tables and the
 classical-method check.
 
-Runs the stabilized critical-load scans for both model problems, the two
+Runs the certified critical-load tables for both model problems, the two
 manufactured-solution convergence studies, the inf-sup estimates of the
 MINI pair and of its bubble-stripped P1/P1 control, and the unstabilized
-sanity probes.  Takes about 15 s on a 2-core machine; the 33x33 scans
-dominate.
+sanity probes.  Takes about 10 s on a 2-core machine; the 33x33 critical
+loads dominate.
 
     python3 scripts/reproduce_tables.py [--meshes 5,9,17,33] [--skip-stability]
 """

@@ -6,18 +6,24 @@ The displacement block of the stabilized problem at load factor gamma is
               + M * int div w div v,          M = m1*|gt| + m2*gt^2,
 
 with the nondimensional load gt = gamma*L/mu (L = 1 here).  The method is
-stable at gt exactly when the smallest eigenvalue of the constrained
-block is positive; the critical loads are located by an outward scan
-from gt = 0 in both directions followed by bisection.  A scan that keeps
-stepping linearly to the unbounded-load cutoff of 1e6 would take millions
-of eigenvalue probes, so beyond ``LINEAR_SPAN`` the probe spacing doubles;
-bisection restores the requested resolution whenever a sign change is
-found.
+stable at gt exactly when the constrained block is positive definite.  In
+either loading direction, with s = |gt|, the block is a quadratic
+A(s) = K0 + s*Kd + s^2*K2 whose K2 = m2*S is positive semidefinite, so A is
+convex in the Loewner order: A(s) >= A(a) + (s - a)*A'(a) for s >= a (an
+overdamped-type quadratic pencil; Tisseur & Meerbergen, "The quadratic
+eigenvalue problem", SIAM Rev. 43, 2001).  The critical loads are found by
+tangent steps outward from gt = 0.  A step from a to b is proved by one
+LDL^T positive-definiteness test of the tangent A(a) + (b - a)*A'(a): a
+linear pencil positive definite at both ends is positive definite between
+them, so A is positive definite on all of [a, b].  An eigen-solve of the
+tangent pencil only proposes the step length, so its tolerance cannot make
+a verdict wrong.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,11 +32,10 @@ import scipy.sparse.linalg as spla
 
 from . import forms
 from .mesh import build_structured_mesh
-from .solvers import SaddleSystem, smallest_eigenvalue, solve_saddle
+from .solvers import (SaddleSystem, positive_definite_factor,
+                      smallest_eigenvalue, solve_saddle)
 from .spaces import MixedSpace
 
-# load magnitude up to which the scan steps linearly before doubling
-LINEAR_SPAN = 8.0
 # inf-sup eigenvalues below KERNEL_RTOL * INFSUP_BOUND are kernel modes; none
 # exceeds the bound: (int q div v)^2 <= 2 |q|^2 |grad v|^2 <= 2 |q|^2 |v|_H1^2
 KERNEL_RTOL, INFSUP_BOUND = 1e-10, 2.0
@@ -44,7 +49,7 @@ class ProblemConfig:
     m2 defaults by problem id (0 for the clamped problem 1, 1.36 for the
     normal-constrained problem 2); the remaining defaults are the
     reference values used throughout: mu = 40, m1 = 320, unit load
-    increment, quarter-step scan with two-decimal bisection, and the 1e6
+    increment, critical loads resolved to bisect_tol = 0.01, and the 1e6
     unbounded-load cutoff.
     """
 
@@ -55,7 +60,6 @@ class ProblemConfig:
     m1: float = 320.0
     m2: float | None = None
     delta_gamma: float = 1.0
-    scan_step: float = 0.25
     bisect_tol: float = 0.01
     gamma_cap: float = 1e6
 
@@ -66,7 +70,7 @@ class ProblemConfig:
             raise ValueError(f"mesh resolution must be >= 2, got {self.n}")
         if self.m2 is None:
             object.__setattr__(self, "m2", 0.0 if self.problem == 1 else 1.36)
-        for name in ("mu", "gamma_tilde", "m1", "m2", "delta_gamma", "scan_step",
+        for name in ("mu", "gamma_tilde", "m1", "m2", "delta_gamma",
                      "bisect_tol", "gamma_cap"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -74,8 +78,8 @@ class ProblemConfig:
             raise ValueError(f"shear modulus must be positive, got {self.mu}")
         if self.m1 < 0 or self.m2 < 0:
             raise ValueError("stabilization coefficients must be nonnegative")
-        if self.scan_step <= 0 or self.bisect_tol <= 0 or self.gamma_cap <= 0:
-            raise ValueError("scan_step, bisect_tol and gamma_cap must be positive")
+        if self.bisect_tol <= 0 or self.gamma_cap <= 0:
+            raise ValueError("bisect_tol and gamma_cap must be positive")
 
     def gamma(self, gamma_tilde: float | None = None) -> float:
         """Dimensional load gamma = mu * gt (characteristic length 1)."""
@@ -83,9 +87,15 @@ class ProblemConfig:
         return self.mu * gt
 
 
+# StabilityReport.trace entries, in signed loads: a step proved positive
+# definite, and the confirming eigenvalue just past a finite critical load
+CertifiedStep = namedtuple("CertifiedStep", "lo hi")
+Crossing = namedtuple("Crossing", "load lam")
+
+
 @dataclass(frozen=True)
 class StabilityReport:
-    """Critical loads of one mesh, with the probed eigenvalue trace."""
+    """Critical loads of one mesh, with the certificate that proves them."""
 
     problem: int
     n: int
@@ -147,24 +157,22 @@ def compute_M0(constants: AbstractConstants) -> float:
 
 
 class _StabilityOperator:
-    """Reduced operators of one mesh, reusable across load probes."""
+    """Reduced operators of one mesh as A(s) = K0 + s*Kd[sign] + s^2*K2 in
+    the loading direction sign, s = |gt|: K0 = mu*E2, Kd = -sign*mu*R + m1*S
+    and K2 = m2*S."""
 
     def __init__(self, cfg: ProblemConfig):
         self.cfg = cfg
         self.space = MixedSpace(build_structured_mesh(cfg.n), problem=cfg.problem)
-        self.E2, self.R = forms.elastic_parts(self.space)
-        self.S = forms.assemble_divdiv(self.space)
+        E2, R = forms.elastic_parts(self.space)
+        S = forms.assemble_divdiv(self.space)
+        self.K0 = cfg.mu * E2
+        self.Kd = {sign: -sign * cfg.mu * R + cfg.m1 * S for sign in (1.0, -1.0)}
+        self.K2 = cfg.m2 * S
 
     def matrix(self, gamma_tilde: float):
-        cfg = self.cfg
-        A = cfg.mu * self.E2 - cfg.gamma(gamma_tilde) * self.R
-        M = stabilization_parameter(cfg, gamma_tilde)
-        if M != 0.0:
-            A = A + M * self.S
-        return A.tocsr()
-
-    def lambda_min(self, gamma_tilde: float) -> float:
-        return smallest_eigenvalue(self.matrix(gamma_tilde))
+        sign, s = math.copysign(1.0, gamma_tilde), abs(gamma_tilde)
+        return (self.K0 + s * self.Kd[sign] + s * s * self.K2).tocsr()
 
 
 def is_stable(cfg: ProblemConfig):
@@ -172,64 +180,57 @@ def is_stable(cfg: ProblemConfig):
 
     Returns (lambda_min, verdict) with verdict True iff lambda_min > 0.
     """
-    lam = _StabilityOperator(cfg).lambda_min(cfg.gamma_tilde)
+    lam = smallest_eigenvalue(_StabilityOperator(cfg).matrix(cfg.gamma_tilde))
     return lam, lam > 0.0
 
 
-def _probe_magnitudes(cfg: ProblemConfig):
-    """Outward probe magnitudes: linear steps, then doubling, then the cap;
-    none lies beyond the cap."""
-    span = min(LINEAR_SPAN, cfg.gamma_cap)
-    # whole steps within the span, forgiving the rounding of an exact quotient
-    k = math.floor(span / cfg.scan_step * (1.0 + 1e-12))
-    probes = [min(cfg.scan_step * i, span) for i in range(1, k + 1)]
-    t = probes[-1] if probes else cfg.scan_step
-    while t * 2.0 < cfg.gamma_cap:
-        t *= 2.0
-        probes.append(t)
-    if not probes or probes[-1] < cfg.gamma_cap:
-        probes.append(cfg.gamma_cap)
-    return probes
+def _certified_limit(op: _StabilityOperator, sign: float, trace: list) -> float:
+    """Certified end of the stable interval from gt = 0 in one direction.
+
+    The largest eigenvalue theta of -A'(a) x = theta A(a) x puts the
+    tangent's singular point at a + 1/theta; the step 0.999/theta (to the
+    cap if theta <= 0) is halved until the tangent passes the test.  After
+    a step of at most bisect_tol, a failed test at a + bisect_tol ends the
+    search at a, once smallest_eigenvalue confirms lambda < 0 there.
+    """
+    tol, cap = op.cfg.bisect_tol, op.cfg.gamma_cap
+    a = 0.0
+    while a < cap:
+        A, dA = op.matrix(sign * a), op.Kd[sign] + 2.0 * a * op.K2
+        lu = positive_definite_factor(A)
+        if lu is None:  # at a > 0 the previous step proved the contrary
+            raise ArithmeticError(f"not positive definite at gamma_tilde={sign * a:g}")
+        minv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
+        theta = float(spla.eigsh(-dA, k=1, M=A, Minv=minv, which="LA", tol=1e-3,
+                                 v0=np.ones(A.shape[0]),
+                                 return_eigenvectors=False)[0])
+        # freed before the next factorizations: factors alive across them
+        # fragmented the heap, raising the tables' peak RSS by about 12 MB
+        del lu, minv
+        t = cap - a if theta <= 0.0 else min(0.999 / theta, cap - a)
+        while positive_definite_factor(A + t * dA) is None:
+            t *= 0.5
+        trace.append(CertifiedStep(sign * a, sign * min(a + t, cap)))
+        a = min(a + t, cap)
+        end = sign * min(a + tol, cap)
+        if t <= tol and a < cap and positive_definite_factor(op.matrix(end)) is None:
+            lam = smallest_eigenvalue(op.matrix(end))
+            trace.append(Crossing(end, lam))
+            if not lam < 0.0:
+                raise ArithmeticError(f"not positive definite at gamma_tilde = {end:g}"
+                                      f" but lambda_min = {lam:.6e} is not negative")
+            return sign * a
+    return sign * math.inf
 
 
 def find_stability_limits(cfg: ProblemConfig) -> StabilityReport:
-    """Critical loads of the stabilized block on one mesh.
-
-    Scans outward from gt = 0 in both loading directions; the first probe
-    with a nonpositive smallest eigenvalue brackets the critical load and
-    bisection refines it to bisect_tol.  Directions that stay stable all
-    the way to the cap are reported as unbounded (+-inf).
-    """
+    """Critical loads of the stabilized block on one mesh: per direction,
+    the certified end of the stable interval from gt = 0, within bisect_tol
+    below the first crossing, or +-inf if certified up to the cap.  The
+    trace holds the proof."""
     op = _StabilityOperator(cfg)
     trace = []
-
-    def probe(gt):
-        lam = op.lambda_min(gt)
-        trace.append((gt, lam))
-        return lam
-
-    lam0 = probe(0.0)
-    if lam0 <= 0.0:
-        raise ValueError(
-            f"baseline is unstable: lambda_min = {lam0:.6e} at gamma_tilde = 0")
-
-    def scan(sign):
-        prev = 0.0
-        for t in _probe_magnitudes(cfg):
-            if probe(sign * t) <= 0.0:
-                lo, hi = prev, t
-                while hi - lo > cfg.bisect_tol:
-                    mid = 0.5 * (lo + hi)
-                    if probe(sign * mid) <= 0.0:
-                        hi = mid
-                    else:
-                        lo = mid
-                return sign * 0.5 * (lo + hi)
-            prev = t
-        return sign * math.inf
-
-    gamma_M = scan(+1.0)
-    gamma_m = scan(-1.0)
+    gamma_M, gamma_m = (_certified_limit(op, sign, trace) for sign in (1.0, -1.0))
     return StabilityReport(problem=cfg.problem, n=cfg.n, gamma_m=gamma_m,
                            gamma_M=gamma_M, trace=tuple(trace))
 
@@ -359,13 +360,13 @@ def run_convergence(cfg: ProblemConfig, meshes) -> ConvergenceTable:
     for n in meshes:
         c = replace(cfg, n=n)
         op = _StabilityOperator(c)
-        lam = op.lambda_min(c.gamma_tilde)
+        A = op.matrix(c.gamma_tilde)
+        lam = smallest_eigenvalue(A)
         if lam <= 0.0:
             raise ValueError(
                 f"stabilized block is not positive definite on the {n}x{n} "
                 f"mesh at gamma_tilde = {c.gamma_tilde} "
                 f"(lambda_min = {lam:.6e}); refusing to run convergence")
-        A = op.matrix(c.gamma_tilde)
         B = forms.assemble_coupling(op.space)
         F = forms.assemble_load(op.space, manufactured_load, scale=c.delta_gamma)
         w_h, p_h = solve_saddle(SaddleSystem(

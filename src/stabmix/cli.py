@@ -2,8 +2,8 @@
 
 Every default is printed in a provenance header comment so emitted tables
 are self-describing: physical defaults (mu, m1, m2, delta_gamma) and
-detection defaults (scan step, bisection tolerance, load cap) are those
-of ProblemConfig, which also validates them; the study load factors and
+detection defaults (critical-load tolerance, load cap) are those of
+ProblemConfig, which also validates them; the study load factors and
 the mesh family are set here.  Each command's table is a list of columns
 rendered by one csv, one json and one pretty renderer.  Output is
 byte-identical for identical run specifications.
@@ -79,8 +79,7 @@ TABLES = {
         (Column("problem", "problem", str, _same, None, None, 0), _NODES,
          Column("gamma_m", "gamma_m", *_LOAD, "gamma_m", 10),
          Column("gamma_M", "gamma_M", *_LOAD, "gamma_M", 10)),
-        {"scan_step": "scan_step", "bisect_tol": "bisect_tol",
-         "cap": "gamma_cap"}, "detection",
+        {"bisect_tol": "bisect_tol", "cap": "gamma_cap"}, "detection",
         "two-decimal critical loads, unbounded beyond the cap"),
     "convergence": Table(
         (_NODES,
@@ -123,7 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_stab = sub.add_parser("stability", help="critical-load tables")
     common(p_stab)
-    p_stab.add_argument("--scan-step", type=float)
     p_stab.add_argument("--bisect-tol", type=float)
     p_stab.add_argument("--cap", dest="gamma_cap", type=float, metavar="CAP")
 

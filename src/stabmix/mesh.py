@@ -15,13 +15,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TriMesh:
-    """Triangulation of (-1,1)^2 from a uniform n x n node grid.
-
-    Attributes
-    ----------
-    nodes : (n_nodes, 2) vertex coordinates
-    triangles : (n_tris, 3) vertex indices, counterclockwise
-    """
+    """Triangulation of (-1,1)^2: vertex coordinates (n_nodes, 2) and
+    counterclockwise vertex indices (n_tris, 3)."""
 
     nodes: np.ndarray
     triangles: np.ndarray
@@ -46,11 +41,7 @@ def build_structured_mesh(n: int) -> TriMesh:
     The diagonal orientation is observable in the reference results this
     package reproduces (the manufactured load grows with x, so the two
     diagonal choices are not equivalent for it); this one matches.
-
-    Raises
-    ------
-    ValueError
-        if n < 2 (no cells).
+    Raises ValueError if n < 2 (no cells).
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ValueError(f"mesh resolution must be an integer, got {n!r}")
@@ -61,12 +52,9 @@ def build_structured_mesh(n: int) -> TriMesh:
     xv, yv = np.meshgrid(ticks, ticks, indexing="xy")
     nodes = np.column_stack([xv.ravel(), yv.ravel()])
 
-    def nid(i, j):
-        return j * n + i
-
     # cell (i, j), row by row, has corners a, b, c, d counterclockwise from
-    # its lower left and splits into (a, b, d) and (b, c, d)
-    a = nid(np.arange(n - 1, dtype=np.int64), np.arange(n - 1)[:, None]).ravel()
+    # its lower left (node j*n + i) and splits into (a, b, d) and (b, c, d)
+    a = (np.arange(n - 1)[:, None] * n + np.arange(n - 1, dtype=np.int64)).ravel()
     b, c, d = a + 1, a + n + 1, a + n
     triangles = np.stack([a, b, d, b, c, d], axis=1).reshape(-1, 3)
     return TriMesh(nodes=nodes, triangles=triangles)

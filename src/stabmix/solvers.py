@@ -51,15 +51,32 @@ def _as_symmetric(S, what: str):
     return ((S + S.T) * 0.5).tocsc()
 
 
-def _shift_below_spectrum(A):
-    """Shift sigma <= 0 with A - sigma*I positive definite, and its sparse LU.
+def positive_definite_factor(A):
+    """Sparse LDL^T factorization of symmetric A if it proves A positive
+    definite, else None.
 
     With a symmetric permutation and diagonal pivots the LU factor is
     L D L^T with D = diag(U), so positive pivots prove positive
-    definiteness (Sylvester's law of inertia).  Below the Gershgorin lower
-    bound A - sigma*I is strictly diagonally dominant with a positive
-    diagonal, so the search ends there at the latest; a refusal at that
-    point raises instead of searching on.
+    definiteness (Sylvester's law of inertia).  A failed factorization or
+    a non-symmetric permutation proves nothing, so it counts as not
+    positive definite.
+    """
+    try:
+        lu = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError:  # exactly singular
+        return None
+    if np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0):
+        return lu
+    return None
+
+
+def _shift_below_spectrum(A):
+    """Shift sigma <= 0 with A - sigma*I positive definite, and its sparse LU.
+
+    Below the Gershgorin lower bound A - sigma*I is strictly diagonally
+    dominant with a positive diagonal, so the search ends there at the
+    latest; a refusal at that point raises instead of searching on.
     """
     diag = A.diagonal()
     row_abs = np.asarray(abs(A).sum(axis=1)).ravel()
@@ -69,13 +86,8 @@ def _shift_below_spectrum(A):
     eye = sp.identity(A.shape[0], format="csc")
     sigma = 0.0
     while True:
-        try:
-            lu = spla.splu((A - sigma * eye).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        except RuntimeError:  # exactly singular, so not positive definite
-            lu = None
-        if (lu is not None and np.array_equal(lu.perm_r, lu.perm_c)
-                and np.all(lu.U.diagonal() > 0.0)):
+        lu = positive_definite_factor(A - sigma * eye)
+        if lu is not None:
             return sigma, lu
         if sigma < gershgorin:
             raise ArithmeticError(

@@ -1,6 +1,7 @@
 """Stability detection, convergence study and abstract-constants checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,11 @@ from stabmix import (AbstractConstants, MixedSpace, ProblemConfig,
                      compute_errors, estimate_inf_sup, find_stability_limits,
                      is_stable, manufactured_pressure, run_convergence,
                      stabilization_parameter)
-from stabmix.analysis import KERNEL_RTOL, _StabilityOperator, _probe_magnitudes
+from stabmix import analysis, forms
+from stabmix.analysis import (KERNEL_RTOL, CertifiedStep, Crossing,
+                              _StabilityOperator)
 from stabmix.mesh import TriMesh
+from stabmix.solvers import positive_definite_factor
 from stabmix.spaces import make_quadrature
 
 
@@ -43,8 +47,7 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field", ["mu", "m1", "m2", "gamma_tilde",
-                                   "delta_gamma", "scan_step", "bisect_tol",
-                                   "gamma_cap"])
+                                   "delta_gamma", "bisect_tol", "gamma_cap"])
 def test_config_rejects_non_finite(field):
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
@@ -104,45 +107,82 @@ def test_classical_method_verdicts():
     assert not ok and lam < 0.0
 
 
-def test_probe_schedule_structure():
-    cfg = ProblemConfig(problem=1, n=5)
-    probes = _probe_magnitudes(cfg)
-    # linear quarter steps up to the span
-    assert probes[:4] == [0.25, 0.5, 0.75, 1.0]
-    assert 8.0 in probes
-    after = [t for t in probes if t > 8.0]
-    assert after[:3] == [16.0, 32.0, 64.0]
-    assert probes[-1] == cfg.gamma_cap
-    assert all(b > a for a, b in zip(probes, probes[1:]))
-    # the default schedule in full: 32 quarter steps, doubling, the cap
-    assert probes == ([0.25 * i for i in range(1, 33)]
-                      + [8.0 * 2 ** k for k in range(1, 17)] + [1e6])
-    # a step that does not divide the cap never probes beyond it
-    for step, cap in ((0.3, 3.8), (0.3, 3.9), (0.7, 0.5), (3.0, 100.0)):
-        probes = _probe_magnitudes(ProblemConfig(scan_step=step, gamma_cap=cap))
-        assert all(0.0 < t <= cap for t in probes)
-        assert probes[-1] == cap
-        assert all(b > a for a, b in zip(probes, probes[1:]))
+def _dense_lambda_min(A):
+    return np.linalg.eigvalsh(A.toarray())[0]
+
+
+@pytest.mark.parametrize("weights", [{}, {"m1": 0.0, "m2": 0.0}],
+                         ids=["stabilized", "classical"])
+@pytest.mark.parametrize("problem", [1, 2])
+@pytest.mark.parametrize("n", [5, 9])
+def test_limits_match_dense_oracle(n, problem, weights):
+    cfg = ProblemConfig(problem=problem, n=n, **weights)
+    rep = find_stability_limits(cfg)
+    op = _StabilityOperator(cfg)
+    E2, R = forms.elastic_parts(op.space)
+    S = forms.assemble_divdiv(op.space)
+    tol = cfg.bisect_tol
+    for sign, gamma in ((1.0, rep.gamma_M), (-1.0, rep.gamma_m)):
+        g = abs(gamma)
+        if math.isfinite(g):
+            assert _dense_lambda_min(op.matrix(sign * g)) > 0.0
+            assert _dense_lambda_min(op.matrix(sign * (g + tol))) < 0.0
+            grid = np.linspace(0.0, g, 200)
+        else:  # unbounded: stable at every scale up to the cap
+            grid = np.concatenate([[0.0], np.geomspace(1e-2, cfg.gamma_cap, 199)])
+        assert all(_dense_lambda_min(op.matrix(sign * s)) > 0.0 for s in grid)
+        if cfg.m2 == 0.0:
+            # A(s) = K0 + s*Kd is linear: singular first at s = 1/theta_max
+            Kd = -sign * cfg.mu * R + cfg.m1 * S
+            theta = sla.eigh(-Kd.toarray(), cfg.mu * E2.toarray(),
+                             eigvals_only=True)[-1]
+            if theta * cfg.gamma_cap > 1.0:
+                assert g == pytest.approx(1.0 / theta, abs=tol)
+            else:
+                assert g == math.inf
+
+
+def test_stable_set_is_not_an_interval():
+    # 9x9 problem 2 is unstable past its critical load and stable again at
+    # large loads, where m2*gt^2*S dominates; the first crossing is reported
+    cfg = ProblemConfig(problem=2, n=9)
+    op = _StabilityOperator(cfg)
+    for gt, stable in ((10.0, False), (1e2, False), (1e3, False),
+                       (1e4, True), (1e5, True), (1e6, True)):
+        assert (positive_definite_factor(op.matrix(gt)) is not None) == stable
+    assert find_stability_limits(cfg).gamma_M == pytest.approx(3.858, abs=0.01)
+    lam, ok = is_stable(replace(cfg, gamma_tilde=1e5))
+    assert ok and lam > 0.0
 
 
 def test_scan_stays_within_cap():
-    # 9x9 problem 2 loses stability near 3.86; a 0.3 step rounded up to a
-    # 3.9 probe used to report that load although the cap is 3.8
-    cfg = ProblemConfig(problem=2, n=9, scan_step=0.3, gamma_cap=3.8)
+    cfg = ProblemConfig(problem=2, n=9, gamma_cap=3.8)
     rep = find_stability_limits(cfg)
-    assert max(abs(gt) for gt, _ in rep.trace) <= cfg.gamma_cap
     assert rep.gamma_M == math.inf
+    steps = [e for e in rep.trace if isinstance(e, CertifiedStep)]
+    assert max(abs(e.hi) for e in steps) == cfg.gamma_cap
 
 
 def test_find_stability_limits_small_mesh():
     rep = find_stability_limits(ProblemConfig(problem=1, n=9))
     assert rep.gamma_m == -math.inf
-    assert rep.gamma_M == pytest.approx(14.68, abs=0.05)
-    # trace positivity strictly inside the stable range
-    for gt, lam in rep.trace:
-        if rep.gamma_m < gt < rep.gamma_M:
-            assert lam > 0.0
-    assert rep.gamma_m <= 0.0 <= rep.gamma_M
+    assert rep.gamma_M == pytest.approx(14.687, abs=0.01)
+    # the proved steps tile [0, gamma_M] and, gamma_m being -inf, [-cap, 0]
+    for sign, end in ((1.0, rep.gamma_M), (-1.0, -1e6)):
+        steps = [e for e in rep.trace
+                 if isinstance(e, CertifiedStep) and sign * e.hi > 0.0]
+        assert steps[0].lo == 0.0 and steps[-1].hi == end
+        assert all(sign * (s.hi - s.lo) > 0.0 for s in steps)
+        assert all(s.hi == t.lo for s, t in zip(steps, steps[1:]))
+    crossings = [e for e in rep.trace if isinstance(e, Crossing)]
+    assert len(crossings) == 1 and crossings[0].lam < 0.0
+    assert crossings[0].load == pytest.approx(rep.gamma_M + 0.01)
+
+
+def test_unconfirmed_crossing_raises(monkeypatch):
+    monkeypatch.setattr(analysis, "smallest_eigenvalue", lambda A: 1.0)
+    with pytest.raises(ArithmeticError, match="not negative"):
+        find_stability_limits(ProblemConfig(problem=1, n=9))
 
 
 def test_find_stability_limits_classical_is_finite():
@@ -366,7 +406,16 @@ def test_lambda_min_monotone_in_m1():
 def test_operator_matrix_affine_pieces():
     cfg = ProblemConfig(problem=2, n=5, gamma_tilde=1.5)
     op = _StabilityOperator(cfg)
-    A = op.matrix(1.5)
-    ref = (cfg.mu * op.E2 - cfg.gamma(1.5) * op.R
-           + stabilization_parameter(cfg, 1.5) * op.S)
-    assert abs(A - ref.tocsr()).max() <= 1e-12 * abs(A).max()
+    E2, R = forms.elastic_parts(op.space)
+    S = forms.assemble_divdiv(op.space)
+    for gt in (1.5, -1.5, 0.0):
+        A = op.matrix(gt)
+        ref = (cfg.mu * E2 - cfg.gamma(gt) * R
+               + stabilization_parameter(cfg, gt) * S)
+        assert abs(A - ref.tocsr()).max() <= 1e-12 * abs(A).max()
+        # the derivative along |gt|: a one-sided difference exact on quadratics
+        sign, s = math.copysign(1.0, gt), abs(gt)
+        fd = (4.0 * op.matrix(sign * (s + 1.0)) - 3.0 * op.matrix(sign * s)
+              - op.matrix(sign * (s + 2.0))) / 2.0
+        dA = op.Kd[sign] + 2.0 * s * op.K2
+        assert abs(fd - dA).max() <= 1e-8 * abs(dA).max()

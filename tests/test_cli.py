@@ -29,7 +29,7 @@ def test_parse_defaults_problem1():
     cfg = spec.config
     assert cfg.n == 17
     assert cfg.mu == 40.0 and cfg.m1 == 320.0 and cfg.m2 == 0.0
-    assert cfg.scan_step == 0.25 and cfg.bisect_tol == 0.01
+    assert cfg.bisect_tol == 0.01
     assert cfg.gamma_cap == 1e6
     assert not spec.classical
 
@@ -71,7 +71,7 @@ def test_parse_usage_errors_exit_nonzero():
 
 
 def test_parse_non_finite_is_usage_error(capsys):
-    for flag in ("--mu", "--m1", "--m2", "--scan-step", "--bisect-tol", "--cap"):
+    for flag in ("--mu", "--m1", "--m2", "--bisect-tol", "--cap"):
         with pytest.raises(SystemExit) as exc:
             parse_args(["stability", "--nodes", "5", flag, "nan"])
         assert exc.value.code == 2
@@ -110,8 +110,7 @@ def test_emit_provenance_header_names_defaults():
     text = emit(reports, "csv", _stability_spec())
     header = [l for l in text.splitlines() if l.startswith("#")]
     joined = " ".join(header)
-    for token in ("mu=40", "m1=320", "m2=0", "scan_step=0.25",
-                  "bisect_tol=0.01", "cap=1e+06"):
+    for token in ("mu=40", "m1=320", "m2=0", "bisect_tol=0.01", "cap=1e+06"):
         assert token in joined
 
 
