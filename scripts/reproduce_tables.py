@@ -26,7 +26,7 @@ def print_table(title, argv):
     result = run(spec)
     dt = time.perf_counter() - t0
     print(f"== {title.format(config=spec.config)} ({dt:.0f}s)")
-    print(emit(result, "pretty", spec))
+    print(emit(result, spec))
 
 
 def main():

@@ -6,12 +6,11 @@ from .analysis import (AbstractConstants, ConvergenceRow, ConvergenceTable,
                        ProblemConfig, StabilityReport, compute_M0,
                        compute_errors, estimate_inf_sup,
                        find_stability_limits, is_stable, manufactured_load,
-                       manufactured_pressure, run_convergence,
-                       stabilization_parameter)
+                       manufactured_pressure, run_convergence)
 from .forms import (assemble_coupling, assemble_divdiv, assemble_elastic,
                     assemble_h1_gram, assemble_load, assemble_pressure_mass,
                     elastic_parts)
 from .mesh import build_structured_mesh
 from .solvers import (NonSymmetricMatrixError, SaddleSystem,
                       SingularSaddleError, smallest_eigenvalue, solve_saddle)
-from .spaces import MixedSpace, make_quadrature, reference_basis
+from .spaces import MixedSpace, make_quadrature

@@ -18,8 +18,7 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 
-from .analysis import (ConvergenceTable, ProblemConfig, StabilityReport,
-                       estimate_inf_sup, find_stability_limits,
+from .analysis import (ProblemConfig, estimate_inf_sup, find_stability_limits,
                        run_convergence)
 from .mesh import build_structured_mesh
 from .spaces import MixedSpace
@@ -228,39 +227,26 @@ def _pretty(table: Table, rows):
         line(c.pretty(getattr(r, c.attr)) for c in cols) for r in rows]
 
 
-def emit(report, fmt: str, spec: RunSpec | None = None) -> str:
-    """Render a report in csv, json or pretty form.
-
-    The table is the one of spec.command; without a spec it is inferred
-    from the type of the report.
-    """
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    if isinstance(report, ConvergenceTable):
-        command, rows = "convergence", report.rows
+def emit(report, spec: RunSpec) -> str:
+    """Render the report of spec.command in spec.fmt: csv, json or pretty."""
+    if spec.fmt not in FORMATS:
+        raise ValueError(f"unknown format {spec.fmt!r}; expected one of {FORMATS}")
+    table, cfg = TABLES[spec.command], spec.config
+    rows, extra = report, {}
+    if spec.command == "convergence":
+        rows = report.rows
         extra = {"problem": report.problem, "gamma_tilde": report.gamma_tilde}
-    elif isinstance(report, list):
-        command, rows, extra = "infsup", report, {}
-        if report and isinstance(report[0], StabilityReport):
-            command = "stability"
-    else:
-        raise ValueError(f"cannot emit report of type {type(report)!r}")
-    if spec is not None:
-        command = spec.command
-    table = TABLES[command]
-    if fmt == "json":
-        defaults = {} if spec is None else {
-            "mu": spec.config.mu, "m1": spec.config.m1, "m2": spec.config.m2,
-            "meshes": list(spec.meshes),
-            **{key: getattr(spec.config, name)
-               for key, name in table.settings.items()}}
+    if spec.fmt == "json":
+        defaults = {"mu": cfg.mu, "m1": cfg.m1, "m2": cfg.m2,
+                    "meshes": list(spec.meshes),
+                    **{key: getattr(cfg, name) for key, name in table.settings.items()}}
         out = [{c.key: c.json(getattr(r, c.attr)) for c in table.columns}
                for r in rows]
-        return json.dumps({"command": command, "defaults": defaults,
+        return json.dumps({"command": spec.command, "defaults": defaults,
                            "rows": out, **extra},
                           sort_keys=True, separators=(",", ":")) + "\n"
-    lines = _provenance_lines(spec, table) if spec else []
-    lines += (_csv if fmt == "csv" else _pretty)(table, rows)
+    lines = _provenance_lines(spec, table)
+    lines += (_csv if spec.fmt == "csv" else _pretty)(table, rows)
     return "\n".join(lines) + "\n"
 
 
@@ -268,7 +254,7 @@ def main(argv=None) -> int:
     spec = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         report = run(spec)
-        text = emit(report, spec.fmt, spec)
+        text = emit(report, spec)
     except Exception as err:
         print(f"stabmix: error: {err}", file=sys.stderr)
         return 1

@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from .spaces import MixedSpace, make_quadrature, tabulate_scalar_basis
 
-# quadrature degree for the non-polynomial integrands: loads and exact fields
+# quadrature degree for the non-polynomial integrands: loads and the exact pressure
 LOAD_QUAD_DEGREE = 10
 
 

@@ -51,19 +51,25 @@ def _as_symmetric(S, what: str):
     return ((S + S.T) * 0.5).tocsc()
 
 
+def ldlt_factor(A):
+    """Sparse LU of symmetric A in a symmetric fill-reducing order with
+    diagonal pivots preferred: while perm_r == perm_c it is L D L^T with
+    D = diag(U)."""
+    return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
 def positive_definite_factor(A):
     """Sparse LDL^T factorization of symmetric A if it proves A positive
     definite, else None.
 
-    With a symmetric permutation and diagonal pivots the LU factor is
-    L D L^T with D = diag(U), so positive pivots prove positive
-    definiteness (Sylvester's law of inertia).  A failed factorization or
-    a non-symmetric permutation proves nothing, so it counts as not
+    Positive pivots of an LDL^T factor prove positive definiteness
+    (Sylvester's law of inertia).  A failed factorization or a
+    non-symmetric permutation proves nothing, so it counts as not
     positive definite.
     """
     try:
-        lu = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        lu = ldlt_factor(A)
     except RuntimeError:  # exactly singular
         return None
     if np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0):

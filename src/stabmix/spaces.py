@@ -6,8 +6,8 @@ carries no zero-mean constraint: the traction-free upper edge already
 fixes the pressure level.
 
 Quadrature rules are built on the reference triangle {x,y >= 0, x+y <= 1}
-by collapsing a Gauss-Legendre product rule from the unit square and
-averaging it over the six vertex permutations.  Exactness for the
+by collapsing a Gauss-Legendre product rule from the unit square (Stroud,
+Approximate Calculation of Multiple Integrals, 1971).  Exactness for the
 requested total degree is guaranteed by construction, so no tabulated
 point sets are needed.
 """
@@ -31,7 +31,7 @@ _P1_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Symmetric rule on the reference triangle, weights summing to 1/2.
+    """Rule on the reference triangle, weights summing to 1/2.
 
     points are barycentric triples (lam1, lam2, lam3); the reference
     coordinates are (x, y) = (lam2, lam3).
@@ -63,55 +63,16 @@ def make_quadrature(degree: int) -> QuadratureRule:
 
     # collapsed product rule: x = a(1-b), y = ab with jacobian a raises the
     # polynomial degree in a by one
-    na = (degree + 3) // 2
-    nb = (degree + 2) // 2
-    ga, wa = leggauss(na)
-    gb, wb = leggauss(nb)
+    ga, wa = leggauss((degree + 3) // 2)
+    gb, wb = leggauss((degree + 2) // 2)
     a = 0.5 * (ga + 1.0)
     b = 0.5 * (gb + 1.0)
-    wa = 0.5 * wa
-    wb = 0.5 * wb
-
     aa, bb = np.meshgrid(a, b, indexing="ij")
-    ww = np.outer(wa, wb) * aa
     x = (aa * (1.0 - bb)).ravel()
     y = (aa * bb).ravel()
-    w = ww.ravel()
-
-    lam = np.column_stack([1.0 - x - y, x, y])
-
-    # symmetrize over the six barycentric permutations; each permutation is
-    # an affine self-map of the triangle with |det| = 1
-    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    pts = np.concatenate([lam[:, p] for p in perms], axis=0)
-    wts = np.concatenate([w] * len(perms)) / len(perms)
-    return QuadratureRule(degree=int(degree), points=pts, weights=wts)
-
-
-def reference_basis(kind: str, point) -> tuple[np.ndarray, np.ndarray]:
-    """Values and reference-coordinate gradients at barycentric points.
-
-    kind "p1" gives the three hats (values (..., 3), gradients (..., 3, 2));
-    kind "bubble" gives 27*lam1*lam2*lam3 (values (...,), gradients (..., 2)).
-    """
-    pt = np.asarray(point, dtype=float)
-    if pt.shape[-1] != 3:
-        raise ValueError("barycentric point must have 3 components")
-    if np.any(pt < -1e-12) or np.any(np.abs(pt.sum(axis=-1) - 1.0) > 1e-12):
-        raise ValueError(f"invalid barycentric point {point!r}")
-
-    if kind == "p1":
-        vals = pt.copy()
-        grads = np.broadcast_to(_P1_GRADS, pt.shape[:-1] + (3, 2)).copy()
-        return vals, grads
-    if kind == "bubble":
-        l1, l2, l3 = pt[..., 0], pt[..., 1], pt[..., 2]
-        vals = 27.0 * l1 * l2 * l3
-        # chain rule through lam1 = 1-x-y, lam2 = x, lam3 = y
-        gx = 27.0 * (-l2 * l3 + l1 * l3)
-        gy = 27.0 * (-l2 * l3 + l1 * l2)
-        return vals, np.stack([gx, gy], axis=-1)
-    raise ValueError(f"unknown basis kind {kind!r}; expected 'p1' or 'bubble'")
+    w = (0.25 * np.outer(wa, wb) * aa).ravel()
+    return QuadratureRule(degree=int(degree),
+                          points=np.column_stack([1.0 - x - y, x, y]), weights=w)
 
 
 def tabulate_scalar_basis(rule: QuadratureRule, include_bubble: bool):
@@ -119,16 +80,17 @@ def tabulate_scalar_basis(rule: QuadratureRule, include_bubble: bool):
 
     Returns (values, grads) with values (n_basis, nq) and grads
     (n_basis, nq, 2) in reference coordinates; basis order is the three
-    hats then, if requested, the bubble.
+    hats lam1, lam2, lam3 then, if requested, the bubble 27*lam1*lam2*lam3.
     """
-    hats, hat_grads = reference_basis("p1", rule.points)
-    vals = [hats.T]
-    grads = [np.swapaxes(hat_grads, 0, 1)]
-    if include_bubble:
-        bv, bg = reference_basis("bubble", rule.points)
-        vals.append(bv[None, :])
-        grads.append(bg[None, :, :])
-    return np.concatenate(vals, axis=0), np.concatenate(grads, axis=0)
+    lam = rule.points
+    nq = lam.shape[0]
+    vals = np.vstack([lam.T, 27.0 * lam.prod(axis=1)])
+    # the bubble gradient is 27 * sum_i (product of the other two) grad lam_i
+    others = lam[:, [1, 0, 0]] * lam[:, [2, 2, 1]]
+    grads = np.concatenate([np.broadcast_to(_P1_GRADS[:, None], (3, nq, 2)),
+                            27.0 * (others @ _P1_GRADS)[None]])
+    k = 4 if include_bubble else 3
+    return vals[:k], grads[:k]
 
 
 @dataclass(frozen=True)
@@ -191,8 +153,4 @@ class MixedSpace:
         free = np.flatnonzero(~fixed)
         free.setflags(write=False)
         object.__setattr__(self, "free_dofs", free)
-
-    @property
-    def local_basis_size(self) -> int:
-        return 4 if self.include_bubbles else 3
 

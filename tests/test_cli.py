@@ -82,16 +82,16 @@ def test_parse_non_finite_is_usage_error(capsys):
         assert exc.value.code == 2
 
 
-def _stability_spec(meshes=(5,)):
+def _spec(command="stability", fmt="csv", meshes=(5,)):
     config = ProblemConfig(problem=1, n=meshes[0], gamma_tilde=7.125)
-    return RunSpec(command="stability", meshes=meshes, config=config,
-                   classical=False, drop_bubbles=False, fmt="csv", output=None)
+    return RunSpec(command=command, meshes=meshes, config=config,
+                   classical=False, drop_bubbles=False, fmt=fmt, output=None)
 
 
 def test_emit_stability_csv_row():
     reports = [StabilityReport(problem=1, n=5, gamma_m=-math.inf,
                                gamma_M=math.inf)]
-    text = emit(reports, "csv", _stability_spec())
+    text = emit(reports, _spec())
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     assert lines[0] == "problem,nodes,gamma_m,gamma_M"
     assert lines[1] == "1,5,-inf,inf"
@@ -100,14 +100,14 @@ def test_emit_stability_csv_row():
 def test_emit_stability_finite_two_decimals():
     reports = [StabilityReport(problem=1, n=9, gamma_m=-math.inf,
                                gamma_M=14.68359375)]
-    text = emit(reports, "csv", _stability_spec(meshes=(9,)))
+    text = emit(reports, _spec(meshes=(9,)))
     assert "1,9,-inf,14.68" in text
 
 
 def test_emit_provenance_header_names_defaults():
     reports = [StabilityReport(problem=1, n=5, gamma_m=-math.inf,
                                gamma_M=math.inf)]
-    text = emit(reports, "csv", _stability_spec())
+    text = emit(reports, _spec())
     header = [l for l in text.splitlines() if l.startswith("#")]
     joined = " ".join(header)
     for token in ("mu=40", "m1=320", "m2=0", "bisect_tol=0.01", "cap=1e+06"):
@@ -116,8 +116,9 @@ def test_emit_provenance_header_names_defaults():
 
 def test_emit_empty_convergence_header_only():
     table = ConvergenceTable(problem=1, gamma_tilde=7.125, rows=())
-    text = emit(table, "csv", None)
-    assert text == "nodes,err_p_L2,err_w_H1,order\n"
+    lines = emit(table, _spec("convergence")).splitlines()
+    assert lines[-1] == "nodes,err_p_L2,err_w_H1,order"
+    assert all(l.startswith("#") for l in lines[:-1])
 
 
 def test_emit_convergence_formats():
@@ -126,12 +127,12 @@ def test_emit_convergence_formats():
             ConvergenceRow(n=9, err_p_L2=1.5141e-2, err_w_H1=1.8890e-7,
                            order=2.0))
     table = ConvergenceTable(problem=1, gamma_tilde=7.125, rows=rows)
-    csv = emit(table, "csv", None)
+    csv = emit(table, _spec("convergence"))
     assert "5,6.0469e-02,1.0518e-06," in csv
     assert "9,1.5141e-02,1.8890e-07,2.00" in csv
-    pretty = emit(table, "pretty", None)
+    pretty = emit(table, _spec("convergence", "pretty"))
     assert "5x5" in pretty and "--" in pretty
-    doc = json.loads(emit(table, "json", None))
+    doc = json.loads(emit(table, _spec("convergence", "json")))
     assert doc["rows"][0]["order"] is None
     assert doc["rows"][1]["err_p_L2"] == 1.5141e-2
 
@@ -141,7 +142,7 @@ def test_json_roundtrip_exact():
                                gamma_M=math.inf),
                StabilityReport(problem=1, n=9, gamma_m=-math.inf,
                                gamma_M=14.68359375)]
-    doc = parse_emitted_json(emit(reports, "json", None))
+    doc = parse_emitted_json(emit(reports, _spec(fmt="json")))
     for rep, row in zip(reports, doc["rows"]):
         assert row["problem"] == rep.problem
         assert row["nodes"] == rep.n
@@ -160,7 +161,7 @@ def test_json_roundtrip_exact():
 def test_json_roundtrip_property(rows):
     reports = [StabilityReport(problem=2, n=n, gamma_m=gm, gamma_M=gM)
                for n, gm, gM in rows]
-    doc = parse_emitted_json(emit(reports, "json", None))
+    doc = parse_emitted_json(emit(reports, _spec(fmt="json")))
     for rep, row in zip(reports, doc["rows"]):
         assert row["gamma_m"] == rep.gamma_m and row["gamma_M"] == rep.gamma_M
 
@@ -168,24 +169,22 @@ def test_json_roundtrip_property(rows):
 def test_emit_deterministic():
     reports = [StabilityReport(problem=1, n=5, gamma_m=-math.inf,
                                gamma_M=7.21484375)]
-    spec = _stability_spec()
     for fmt in ("csv", "json", "pretty"):
-        assert emit(reports, fmt, spec) == emit(reports, fmt, spec)
+        assert emit(reports, _spec(fmt=fmt)) == emit(reports, _spec(fmt=fmt))
 
 
 def test_emit_empty_report_follows_spec_command():
-    spec = _stability_spec()
-    csv = emit([], "csv", spec).splitlines()
+    csv = emit([], _spec()).splitlines()
     assert csv[-1] == "problem,nodes,gamma_m,gamma_M"
-    doc = json.loads(emit([], "json", spec))
+    doc = json.loads(emit([], _spec(fmt="json")))
     assert doc["command"] == "stability" and doc["rows"] == []
-    pretty = emit([], "pretty", spec).splitlines()
+    pretty = emit([], _spec(fmt="pretty")).splitlines()
     assert pretty[-1].split() == ["nodes", "gamma_m", "gamma_M"]
 
 
 def test_emit_unknown_format():
     with pytest.raises(ValueError):
-        emit([], "xml", None)
+        emit([], _spec(fmt="xml"))
 
 
 def test_run_and_main_small_stability(tmp_path):

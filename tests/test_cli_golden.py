@@ -1,14 +1,19 @@
-"""CLI tables against stored output, every command in every format.
+"""CLI tables against stored output, every command in every format, and
+the printout of scripts/reproduce_tables.py.
 
-csv and pretty must match the files under tests/golden/ byte for byte.
-json is compared after parsing: the structure and every non-float value
-exactly, floats to 1e-6 relative, because the trailing digits of the
-convergence errors are roundoff of the saddle solve (see README).
+csv, pretty and the script's printout (its run times stripped) must match
+the files under tests/golden/ byte for byte.  json is compared after
+parsing: the structure and every non-float value exactly, floats to 1e-6
+relative, because the trailing digits of the convergence errors are
+roundoff of the saddle solve (see README).
 """
 
 import functools
 import json
 import math
+import re
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +21,7 @@ import pytest
 from stabmix.cli import emit, parse_args, run
 
 GOLDEN = Path(__file__).parent / "golden"
+REPRODUCE = Path(__file__).parent.parent / "scripts" / "reproduce_tables.py"
 
 RUNS = {
     "stability-p1": ["stability", "--problem", "1"],
@@ -35,7 +41,7 @@ def _report(name):
 def _stdout(name, fmt):
     """What `stabmix <run> --nodes 5,9 --format fmt` prints."""
     spec = parse_args(RUNS[name] + NODES + ["--format", fmt])
-    return emit(_report(name), spec.fmt, spec)
+    return emit(_report(name), spec)
 
 
 def _assert_close(got, want, path="$"):
@@ -65,3 +71,12 @@ def test_text_tables_match_golden(name, fmt):
 def test_json_matches_golden(name):
     want = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     _assert_close(json.loads(_stdout(name, "json")), want)
+
+
+def test_reproduce_tables_match_golden(monkeypatch, capsys):
+    """Both problems' stability and convergence tables, both inf-sup pairs
+    and the classical lambda_min lines on 5 and 9 nodes."""
+    monkeypatch.setattr(sys, "argv", [str(REPRODUCE), "--meshes", "5,9"])
+    runpy.run_path(str(REPRODUCE), run_name="__main__")
+    printed = re.sub(r" \(\d+s\)$", "", capsys.readouterr().out, flags=re.M)
+    assert printed == (GOLDEN / "reproduce-5-9.txt").read_text(encoding="utf-8")

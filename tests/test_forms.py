@@ -40,7 +40,7 @@ def eval_triangle_fields(space, coeffs, tri, bary):
     vals = np.zeros((nq, 2))
     grads = np.zeros((nq, 2, 2))
     dofs = space.elem_dofs[tri]
-    k = space.local_basis_size
+    k = 4 if space.include_bubbles else 3  # hats, then the bubble
     for q in range(nq):
         l = lam[q]
         phis = [l[0], l[1], l[2]]

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabmix import (MixedSpace, build_structured_mesh, make_quadrature,
-                     reference_basis)
-from stabmix.spaces import MAX_QUAD_DEGREE
+from stabmix import MixedSpace, build_structured_mesh, make_quadrature
+from stabmix.spaces import MAX_QUAD_DEGREE, QuadratureRule, tabulate_scalar_basis
 
 
 def reference_monomial_integral(p, q):
@@ -51,28 +50,39 @@ def test_unsupported_degree_lists_supported():
         make_quadrature(2.5)
 
 
+def table_at(*points, include_bubble=True):
+    """Basis table at hand-picked barycentric points, through a rule that
+    carries them."""
+    pts = np.array(points, dtype=float)
+    weights = np.full(len(pts), 0.5 / len(pts))
+    return tabulate_scalar_basis(QuadratureRule(1, pts, weights), include_bubble)
+
+
 def test_bubble_values():
-    val, grad = reference_basis("bubble", [1 / 3, 1 / 3, 1 / 3])
-    assert val == pytest.approx(1.0, abs=1e-14)
-    assert np.allclose(grad, 0.0, atol=1e-14)
-    for vertex in ([1, 0, 0], [0, 1, 0], [0, 0, 1]):
-        v, _ = reference_basis("bubble", vertex)
-        assert v == pytest.approx(0.0, abs=1e-15)
-    # vanishes along each edge (one barycentric coordinate zero)
-    v, _ = reference_basis("bubble", [0.0, 0.3, 0.7])
-    assert v == pytest.approx(0.0, abs=1e-15)
+    l1, l2, l3 = 0.2, 0.5, 0.3
+    vals, grads = table_at([1 / 3, 1 / 3, 1 / 3], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                           [0.0, 0.3, 0.7], [l1, l2, l3])
+    assert vals.shape == (4, 6) and grads.shape == (4, 6, 2)
+    assert vals[3, 0] == pytest.approx(1.0, abs=1e-14)
+    assert np.allclose(grads[3, 0], 0.0, atol=1e-14)
+    # vanishes at the vertices and along each edge (one coordinate zero)
+    assert np.allclose(vals[3, 1:5], 0.0, atol=1e-15)
+    # chain rule through lam1 = 1-x-y, lam2 = x, lam3 = y
+    expected = 27.0 * np.array([l1 * l3 - l2 * l3, l1 * l2 - l2 * l3])
+    assert np.allclose(grads[3, 5], expected, atol=1e-14)
 
 
 def test_bubble_integral():
     rule = make_quadrature(6)
-    vals, _ = reference_basis("bubble", rule.points)
-    assert (rule.weights * vals).sum() == pytest.approx(9.0 / 40.0, abs=1e-14)
+    vals, _ = tabulate_scalar_basis(rule, include_bubble=True)
+    assert (rule.weights * vals[3]).sum() == pytest.approx(9.0 / 40.0, abs=1e-14)
 
 
 def test_p1_basis():
-    vals, grads = reference_basis("p1", [0.2, 0.5, 0.3])
-    assert np.allclose(vals, [0.2, 0.5, 0.3])
-    assert np.allclose(grads, [[-1, -1], [1, 0], [0, 1]])
+    vals, grads = table_at([0.2, 0.5, 0.3], include_bubble=False)
+    assert vals.shape == (3, 1) and grads.shape == (3, 1, 2)
+    assert np.allclose(vals[:, 0], [0.2, 0.5, 0.3])
+    assert np.allclose(grads[:, 0], [[-1, -1], [1, 0], [0, 1]])
 
 
 @settings(deadline=None, max_examples=50)
@@ -82,18 +92,16 @@ def test_partition_of_unity(a, b):
     l1 = a
     l2 = (1.0 - a) * b
     l3 = 1.0 - l1 - l2
-    vals, grads = reference_basis("p1", [l1, l2, max(l3, 0.0)])
-    assert vals.sum() == pytest.approx(1.0, abs=1e-14)
-    assert np.allclose(grads.sum(axis=0), 0.0, atol=1e-14)
+    vals, grads = table_at([l1, l2, max(l3, 0.0)])
+    assert vals[:3].sum() == pytest.approx(1.0, abs=1e-14)
+    assert np.allclose(grads[:3].sum(axis=0), 0.0, atol=1e-14)
 
 
-def test_invalid_barycentric_point():
-    with pytest.raises(ValueError):
-        reference_basis("p1", [0.5, 0.6, 0.2])
-    with pytest.raises(ValueError):
-        reference_basis("bubble", [-0.1, 0.6, 0.5])
-    with pytest.raises(ValueError):
-        reference_basis("hermite", [1 / 3, 1 / 3, 1 / 3])
+def test_quadrature_points_in_triangle():
+    for degree in range(1, MAX_QUAD_DEGREE + 1):
+        pts = make_quadrature(degree).points
+        assert np.all(pts >= 0.0)
+        assert np.allclose(pts.sum(axis=1), 1.0, atol=1e-15, rtol=0.0)
 
 
 def test_dof_counts():
