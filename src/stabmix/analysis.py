@@ -184,7 +184,8 @@ def _certified_limit(op: _StabilityOperator, sign: float, trace: list) -> float:
     tangent's singular point at a + 1/theta; the step 0.999/theta (to the
     cap if theta <= 0) is halved until the tangent passes the test.  After
     a step of at most bisect_tol, a failed test at a + bisect_tol ends the
-    search at a, once smallest_eigenvalue confirms lambda < 0 there.
+    search at a, once smallest_eigenvalue confirms lambda < 0 there.  A step
+    that does not advance a in floating point raises ArithmeticError.
     """
     tol, cap = op.cfg.bisect_tol, op.cfg.gamma_cap
     a = 0.0
@@ -192,7 +193,8 @@ def _certified_limit(op: _StabilityOperator, sign: float, trace: list) -> float:
         A, dA = op.matrix(sign * a), op.Kd[sign] + 2.0 * a * op.K2
         lu = positive_definite_factor(A)
         if lu is None:  # at a > 0 the previous step proved the contrary
-            raise ArithmeticError(f"not positive definite at gamma_tilde={sign * a:g}")
+            raise ArithmeticError(f"not positive definite at gamma_tilde = "
+                                  f"{sign * a!r} (bisect_tol = {tol:g})")
         minv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
         theta = float(spla.eigsh(-dA, k=1, M=A, Minv=minv, which="LA", tol=1e-3,
                                  v0=np.ones(A.shape[0]),
@@ -201,13 +203,17 @@ def _certified_limit(op: _StabilityOperator, sign: float, trace: list) -> float:
         # fragmented the heap, raising the tables' peak RSS by about 12 MB
         del lu, minv
         t = cap - a if theta <= 0.0 else min(0.999 / theta, cap - a)
-        while positive_definite_factor(A + t * dA) is None:
+        while a + t > a and positive_definite_factor(A + t * dA) is None:
             t *= 0.5
+        if not a + t > a:  # theta NaN, or t below the resolution of a
+            raise ArithmeticError(f"no step advances gamma_tilde = {sign * a!r} "
+                                  f"(step {t!r}, bisect_tol = {tol:g})")
         trace.append(CertifiedStep(sign * a, sign * min(a + t, cap)))
         a = min(a + t, cap)
         end = sign * min(a + tol, cap)
-        if t <= tol and a < cap and positive_definite_factor(op.matrix(end)) is None:
-            lam = smallest_eigenvalue(op.matrix(end))
+        if (t <= tol and a < cap
+                and positive_definite_factor(A_end := op.matrix(end)) is None):
+            lam = smallest_eigenvalue(A_end)
             trace.append(Crossing(end, lam))
             if not lam < 0.0:
                 raise ArithmeticError(f"not positive definite at gamma_tilde = {end:g}"
@@ -302,14 +308,6 @@ def compute_errors(space: MixedSpace, w_h, p_h, exact_pressure):
     return float(math.sqrt(max(err_p2, 0.0))), float(math.sqrt(max(err_w2, 0.0)))
 
 
-def _vertex_part(space: MixedSpace, w_free):
-    """Zero the bubble coefficients of a free-dof displacement vector."""
-    full = np.zeros(space.n_u)
-    full[space.free_dofs] = np.asarray(w_free, dtype=float)
-    full[2 * space.mesh.n_nodes:] = 0.0
-    return full[space.free_dofs]
-
-
 def run_convergence(cfg: ProblemConfig, meshes) -> ConvergenceTable:
     """Manufactured-solution study across a mesh family.
 
@@ -342,8 +340,9 @@ def run_convergence(cfg: ProblemConfig, meshes) -> ConvergenceTable:
         F = forms.assemble_load(op.space, manufactured_load, scale=c.delta_gamma)
         w_h, p_h = solve_saddle(SaddleSystem(
             A_total=A, B=B, rhs_u=F, rhs_p=np.zeros(op.space.n_p)))
+        vertex_w = np.where(op.space.free_dofs < 2 * op.space.mesh.n_nodes, w_h, 0.0)
         err_p, err_w = compute_errors(
-            op.space, _vertex_part(op.space, w_h), p_h,
+            op.space, vertex_w, p_h,
             exact_pressure=lambda x, y: c.delta_gamma * manufactured_pressure(x, y))
         order = None if prev_err is None else math.log2(prev_err / err_p)
         rows.append(ConvergenceRow(n=n, err_p_L2=err_p, err_w_H1=err_w, order=order))

@@ -173,6 +173,23 @@ def test_unconfirmed_crossing_raises(monkeypatch):
         find_stability_limits(ProblemConfig(problem=1, n=9))
 
 
+def test_nan_step_raises(monkeypatch, factor_budget):
+    monkeypatch.setattr(analysis.spla, "eigsh", lambda *a, **k: np.array([np.nan]))
+    with pytest.raises(ArithmeticError, match=r"gamma_tilde = 0\.0 .*bisect_tol = 0\.01"):
+        find_stability_limits(ProblemConfig(problem=1, n=9))
+
+
+def test_step_below_resolution_raises(monkeypatch, factor_budget):
+    # the first proposal steps to gt = 1, well inside the stable range
+    # (gamma_M = 14.69); every later one is a step of 1e-30, which 1.0 + t
+    # rounds away
+    thetas = iter([0.999])
+    monkeypatch.setattr(analysis.spla, "eigsh",
+                        lambda *a, **k: np.array([next(thetas, 1e30)]))
+    with pytest.raises(ArithmeticError, match=r"gamma_tilde = 1\.0 .*bisect_tol = 0\.01"):
+        find_stability_limits(ProblemConfig(problem=1, n=9))
+
+
 def test_find_stability_limits_classical_is_finite():
     rep = find_stability_limits(
         ProblemConfig(problem=1, n=5, m1=0.0, m2=0.0))

@@ -222,6 +222,13 @@ def test_main_unwritable_output_fails():
     assert code == 1
 
 
+def test_main_tiny_mu_stops_with_error(capsys, factor_budget):
+    # at mu = 1e-300 the tangent eigen-solve returns theta = NaN
+    code = main(["stability", "--nodes", "5", "--mu", "1e-300"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("stabmix: error:")
+
+
 def test_main_classical_runs(capsys):
     code = main(["stability", "--classical", "--nodes", "5",
                  "--format", "csv"])

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabmix import (MixedSpace, NonSymmetricMatrixError, ProblemConfig,
-                     SaddleSystem, SingularSaddleError, assemble_divdiv,
-                     assemble_elastic, build_structured_mesh,
-                     smallest_eigenvalue, solve_saddle)
+                     SaddleSystem, SingularSaddleError, assemble_coupling,
+                     assemble_divdiv, assemble_elastic, assemble_load,
+                     build_structured_mesh, estimate_inf_sup,
+                     find_stability_limits, manufactured_load,
+                     run_convergence, smallest_eigenvalue, solve_saddle)
+from stabmix import solvers
 from stabmix.analysis import _StabilityOperator
 
 
@@ -138,6 +142,42 @@ def test_solve_saddle_residual_random_system():
     resid = np.sqrt(np.linalg.norm(resid_u) ** 2 + np.linalg.norm(resid_p) ** 2)
     scale = np.sqrt(np.linalg.norm(rhs_u) ** 2 + np.linalg.norm(rhs_p) ** 2)
     assert resid <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("problem,n,gt,classical", [
+    (1, 9, 7.125, False), (1, 17, 7.125, False),   # convergence saddles
+    (2, 9, 3.23, False), (2, 17, 3.23, False),
+    (1, 9, 2.0, True),                               # indefinite A
+])
+def test_solve_saddle_matches_default_lu(problem, n, gt, classical):
+    # SuperLU with its default COLAMD order and partial pivoting is the oracle
+    weights = dict(m1=0.0, m2=0.0) if classical else {}
+    op = _StabilityOperator(ProblemConfig(problem=problem, n=n, **weights))
+    A, B = op.matrix(gt), assemble_coupling(op.space)
+    rhs_u = assemble_load(op.space, manufactured_load)
+    u, p = solve_saddle(SaddleSystem(A, B, rhs_u, np.zeros(op.space.n_p)))
+    K = sp.bmat([[A, B.T], [B, None]], format="csc")
+    ref = spla.splu(K).solve(np.concatenate([rhs_u, np.zeros(op.space.n_p)]))
+    x = np.concatenate([u, p])
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_every_factorization_uses_the_ldlt_order(monkeypatch):
+    real, orders = spla.splu, []
+
+    def recording(A, **options):
+        orders.append(options.get("permc_spec"))
+        return real(A, **options)
+
+    monkeypatch.setattr(solvers.spla, "splu", recording)
+    for study in (
+            lambda: run_convergence(ProblemConfig(problem=1, gamma_tilde=7.125), [5]),
+            lambda: estimate_inf_sup(MixedSpace(build_structured_mesh(5), problem=1)),
+            lambda: find_stability_limits(ProblemConfig(problem=2, n=5))):
+        before = len(orders)
+        study()
+        assert len(orders) > before
+    assert set(orders) == {"MMD_AT_PLUS_A"}
 
 
 def test_solve_saddle_singular_named():
