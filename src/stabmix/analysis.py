@@ -40,17 +40,21 @@ from .spaces import MixedSpace
 # exceeds the bound: (int q div v)^2 <= 2 |q|^2 |grad v|^2 <= 2 |q|^2 |v|_H1^2
 KERNEL_RTOL, INFSUP_BOUND = 1e-10, 2.0
 INFSUP_SHIFT = -1e-5  # Lanczos shift below the spectrum [0, 2], near its bottom
+# critical loads are resolved to BISECT_TOL and unbounded beyond GAMMA_CAP.  At
+# BISECT_TOL <= 1e-11 the search was measured to stop with "not positive definite",
+# and at <= 1e-12 to differ between processes: re-measure before lowering it
+BISECT_TOL, GAMMA_CAP = 0.01, 1e6
 
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """One model-problem instance plus detection parameters.
+    """One model-problem instance.
 
     m2 defaults by problem id (0 for the clamped problem 1, 1.36 for the
     normal-constrained problem 2); the remaining defaults are the
-    reference values used throughout: mu = 40, m1 = 320, unit load
-    increment, critical loads resolved to bisect_tol = 0.01, and the 1e6
-    unbounded-load cutoff.
+    reference values used throughout: mu = 40, m1 = 320 and a unit load
+    increment.  The critical-load resolution and load cap are the module
+    constants BISECT_TOL and GAMMA_CAP.
     """
 
     problem: int = 1
@@ -60,8 +64,6 @@ class ProblemConfig:
     m1: float = 320.0
     m2: float | None = None
     delta_gamma: float = 1.0
-    bisect_tol: float = 0.01
-    gamma_cap: float = 1e6
 
     def __post_init__(self):
         if self.problem not in (1, 2):
@@ -70,21 +72,17 @@ class ProblemConfig:
             raise ValueError(f"mesh resolution must be >= 2, got {self.n}")
         if self.m2 is None:
             object.__setattr__(self, "m2", 0.0 if self.problem == 1 else 1.36)
-        for name in ("mu", "gamma_tilde", "m1", "m2", "delta_gamma",
-                     "bisect_tol", "gamma_cap"):
+        for name in ("mu", "gamma_tilde", "m1", "m2", "delta_gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mu <= 0:
             raise ValueError(f"shear modulus must be positive, got {self.mu}")
         if self.m1 < 0 or self.m2 < 0:
             raise ValueError("stabilization coefficients must be nonnegative")
-        if self.bisect_tol <= 0 or self.gamma_cap <= 0:
-            raise ValueError("bisect_tol and gamma_cap must be positive")
 
-    def gamma(self, gamma_tilde: float | None = None) -> float:
-        """Dimensional load gamma = mu * gt (characteristic length 1)."""
-        gt = self.gamma_tilde if gamma_tilde is None else gamma_tilde
-        return self.mu * gt
+    def gamma(self) -> float:
+        """Dimensional load gamma = mu * gamma_tilde (characteristic length 1)."""
+        return self.mu * self.gamma_tilde
 
 
 # StabilityReport.trace entries, in signed loads: a step proved positive
@@ -150,22 +148,27 @@ def compute_M0(constants: AbstractConstants) -> float:
 
 
 class _StabilityOperator:
-    """Reduced operators of one mesh as A(s) = K0 + s*Kd[sign] + s^2*K2 in
+    """Reduced operators of one mesh as A(s) = K0 + s*Kd(sign) + s^2*K2 in
     the loading direction sign, s = |gt|: K0 = mu*E2, Kd = -sign*mu*R + m1*S
-    and K2 = m2*S."""
+    and K2 = m2*S.  Kd is built for the direction in use, and only for it."""
 
     def __init__(self, cfg: ProblemConfig):
         self.cfg = cfg
         self.space = MixedSpace(build_structured_mesh(cfg.n), problem=cfg.problem)
-        E2, R = forms.elastic_parts(self.space)
-        S = forms.assemble_divdiv(self.space)
+        E2, self._R = forms.elastic_parts(self.space)
+        self._S = forms.assemble_divdiv(self.space)
         self.K0 = cfg.mu * E2
-        self.Kd = {sign: -sign * cfg.mu * R + cfg.m1 * S for sign in (1.0, -1.0)}
-        self.K2 = cfg.m2 * S
+        self.K2 = cfg.m2 * self._S
+        self._Kd = (0.0, None)  # (sign, Kd) of the direction last used
+
+    def Kd(self, sign: float):
+        if self._Kd[0] != sign:
+            self._Kd = (sign, -sign * self.cfg.mu * self._R + self.cfg.m1 * self._S)
+        return self._Kd[1]
 
     def matrix(self, gamma_tilde: float):
         sign, s = math.copysign(1.0, gamma_tilde), abs(gamma_tilde)
-        return (self.K0 + s * self.Kd[sign] + s * s * self.K2).tocsr()
+        return (self.K0 + s * self.Kd(sign) + s * s * self.K2).tocsr()
 
 
 def is_stable(cfg: ProblemConfig):
@@ -183,14 +186,14 @@ def _certified_limit(op: _StabilityOperator, sign: float, trace: list) -> float:
     The largest eigenvalue theta of -A'(a) x = theta A(a) x puts the
     tangent's singular point at a + 1/theta; the step 0.999/theta (to the
     cap if theta <= 0) is halved until the tangent passes the test.  After
-    a step of at most bisect_tol, a failed test at a + bisect_tol ends the
+    a step of at most BISECT_TOL, a failed test at a + BISECT_TOL ends the
     search at a, once smallest_eigenvalue confirms lambda < 0 there.  A step
     that does not advance a in floating point raises ArithmeticError.
     """
-    tol, cap = op.cfg.bisect_tol, op.cfg.gamma_cap
+    tol, cap = BISECT_TOL, GAMMA_CAP
     a = 0.0
     while a < cap:
-        A, dA = op.matrix(sign * a), op.Kd[sign] + 2.0 * a * op.K2
+        A, dA = op.matrix(sign * a), op.Kd(sign) + 2.0 * a * op.K2
         lu = positive_definite_factor(A)
         if lu is None:  # at a > 0 the previous step proved the contrary
             raise ArithmeticError(f"not positive definite at gamma_tilde = "
@@ -224,7 +227,7 @@ def _certified_limit(op: _StabilityOperator, sign: float, trace: list) -> float:
 
 def find_stability_limits(cfg: ProblemConfig) -> StabilityReport:
     """Critical loads of the stabilized block on one mesh: per direction,
-    the certified end of the stable interval from gt = 0, within bisect_tol
+    the certified end of the stable interval from gt = 0, within BISECT_TOL
     below the first crossing, or +-inf if certified up to the cap.  The
     trace holds the proof."""
     op = _StabilityOperator(cfg)
@@ -329,20 +332,21 @@ def run_convergence(cfg: ProblemConfig, meshes) -> ConvergenceTable:
     for n in meshes:
         c = replace(cfg, n=n)
         op = _StabilityOperator(c)
-        A = op.matrix(c.gamma_tilde)
+        space, A = op.space, op.matrix(c.gamma_tilde)
+        del op  # its assembled parts would stay alive through the saddle solve
         lam = smallest_eigenvalue(A)
         if lam <= 0.0:
             raise ValueError(
                 f"stabilized block is not positive definite on the {n}x{n} "
                 f"mesh at gamma_tilde = {c.gamma_tilde} "
                 f"(lambda_min = {lam:.6e}); refusing to run convergence")
-        B = forms.assemble_coupling(op.space)
-        F = forms.assemble_load(op.space, manufactured_load, scale=c.delta_gamma)
+        B = forms.assemble_coupling(space)
+        F = forms.assemble_load(space, manufactured_load, scale=c.delta_gamma)
         w_h, p_h = solve_saddle(SaddleSystem(
-            A_total=A, B=B, rhs_u=F, rhs_p=np.zeros(op.space.n_p)))
-        vertex_w = np.where(op.space.free_dofs < 2 * op.space.mesh.n_nodes, w_h, 0.0)
+            A_total=A, B=B, rhs_u=F, rhs_p=np.zeros(space.n_p)))
+        vertex_w = np.where(space.free_dofs < 2 * space.mesh.n_nodes, w_h, 0.0)
         err_p, err_w = compute_errors(
-            op.space, vertex_w, p_h,
+            space, vertex_w, p_h,
             exact_pressure=lambda x, y: c.delta_gamma * manufactured_pressure(x, y))
         order = None if prev_err is None else math.log2(prev_err / err_p)
         rows.append(ConvergenceRow(n=n, err_p_L2=err_p, err_w_H1=err_w, order=order))

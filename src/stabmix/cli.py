@@ -1,12 +1,13 @@
 """Command-line front end: stability, convergence and inf-sup studies.
 
 Every default is printed in a provenance header comment so emitted tables
-are self-describing: physical defaults (mu, m1, m2, delta_gamma) and
-detection defaults (critical-load tolerance, load cap) are those of
-ProblemConfig, which also validates them; the study load factors and
-the mesh family are set here.  Each command's table is a list of columns
-rendered by one csv, one json and one pretty renderer.  Output is
-byte-identical for identical run specifications.
+are self-describing: physical defaults (mu, m1, m2, delta_gamma) are those
+of ProblemConfig, which also validates them, the critical-load tolerance
+and load cap are constants of analysis, and the study load factors and the
+mesh family are set here.  Only stability and convergence take mu, m1 and
+m2: they cannot change an inf-sup constant.  Each command's table is a list
+of columns rendered by one csv, one json and one pretty renderer.  Output
+is byte-identical for identical run specifications.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 
-from .analysis import (ProblemConfig, estimate_inf_sup, find_stability_limits,
-                       run_convergence)
+from .analysis import (BISECT_TOL, GAMMA_CAP, ProblemConfig, estimate_inf_sup,
+                       find_stability_limits, run_convergence)
 from .mesh import build_structured_mesh
 from .spaces import MixedSpace
 
@@ -67,7 +68,7 @@ def _order(missing: str):
 # header and width (no pretty header: csv and json only).
 Column = namedtuple("Column", "key attr csv json pretty header width")
 # A command's columns, and the settings its provenance header and json
-# defaults add (key -> ProblemConfig field), under a label and a note.
+# defaults add (ProblemConfig -> {key: value}), under a label and a note.
 Table = namedtuple("Table", "columns settings label note")
 
 _NODES = Column("nodes", "n", str, _same, "{0}x{0}".format, "nodes", 8)
@@ -78,18 +79,19 @@ TABLES = {
         (Column("problem", "problem", str, _same, None, None, 0), _NODES,
          Column("gamma_m", "gamma_m", *_LOAD, "gamma_m", 10),
          Column("gamma_M", "gamma_M", *_LOAD, "gamma_M", 10)),
-        {"bisect_tol": "bisect_tol", "cap": "gamma_cap"}, "detection",
+        lambda cfg: {"bisect_tol": BISECT_TOL, "cap": GAMMA_CAP}, "detection",
         "two-decimal critical loads, unbounded beyond the cap"),
     "convergence": Table(
         (_NODES,
          Column("err_p_L2", "err_p_L2", _SCI, _same, _SCI, "||p-p_h||_0", 12),
          Column("err_w_H1", "err_w_H1", _SCI, _same, _SCI, "||w-w_h||_1", 12),
          Column("order", "order", _order(""), _same, _order("--"), "order", 6)),
-        {"gamma_tilde": "gamma_tilde", "delta_gamma": "delta_gamma"}, "study",
-        "reference load factor, unit increment"),
+        lambda cfg: {"gamma_tilde": cfg.gamma_tilde,
+                     "delta_gamma": cfg.delta_gamma},
+        "study", "reference load factor, unit increment"),
     "infsup": Table(
         (_NODES, Column("beta1", "beta1", "{:.6f}".format, _same,
-                        "{:.4f}".format, "beta1", 8)), {}, None, None),
+                        "{:.4f}".format, "beta1", 8)), lambda cfg: {}, None, None),
 }
 
 # argparse destinations that are ProblemConfig fields
@@ -109,30 +111,25 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nodes", type=str, default=None,
                        help="comma-separated nodes-per-side list "
                             "(default 5,9,17,33)")
+        p.add_argument("--format", dest="fmt", choices=FORMATS, default="pretty")
+        p.add_argument("--output", type=str, default=None,
+                       help="write to this path instead of stdout")
+
+    p_stab = sub.add_parser("stability", help="critical-load tables")
+    p_conv = sub.add_parser("convergence", help="manufactured-solution errors")
+    for p in (p_stab, p_conv):
+        common(p)
         p.add_argument("--mu", type=float)
         p.add_argument("--m1", type=float,
                        help="linear stabilization coefficient (default 320)")
         p.add_argument("--m2", type=float,
                        help="quadratic stabilization coefficient "
                             "(default 0 for problem 1, 1.36 for problem 2)")
-        p.add_argument("--format", dest="fmt", choices=FORMATS, default="pretty")
-        p.add_argument("--output", type=str, default=None,
-                       help="write to this path instead of stdout")
-
-    p_stab = sub.add_parser("stability", help="critical-load tables")
-    common(p_stab)
-    p_stab.add_argument("--bisect-tol", type=float)
-    p_stab.add_argument("--cap", dest="gamma_cap", type=float, metavar="CAP")
-
-    p_conv = sub.add_parser("convergence", help="manufactured-solution errors")
-    common(p_conv)
+        p.add_argument("--classical", action="store_true",
+                       help="drop the stabilization term (M = 0)")
     p_conv.add_argument("--gamma-tilde", type=float,
                         help="load factor (default 7.125 for problem 1, "
                              "3.23 for problem 2)")
-    p_conv.add_argument("--delta-gamma", type=float)
-    for p in (p_stab, p_conv):
-        p.add_argument("--classical", action="store_true",
-                       help="drop the stabilization term (M = 0)")
 
     p_inf = sub.add_parser("infsup", help="discrete inf-sup estimates")
     common(p_inf)
@@ -144,9 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_args(argv) -> RunSpec:
     """Parse CLI arguments into a RunSpec; exits with code 2 on usage errors.
 
-    Omitted model and detection options take the ProblemConfig defaults,
-    and every value is validated by building the ProblemConfig of each
-    mesh.
+    Omitted model options take the ProblemConfig defaults, and every value
+    is validated by building the ProblemConfig of each mesh.
     """
     parser = _build_parser()
     ns = parser.parse_args(argv)
@@ -202,9 +198,9 @@ def _provenance_lines(spec: RunSpec, table: Table):
         f"(reference stabilized setup for problem {cfg.problem}"
         + ("; classical M=0 requested" if spec.classical else "") + ")",
     ]
-    if table.settings:
-        values = " ".join(f"{key}={getattr(cfg, name):g}"
-                          for key, name in table.settings.items())
+    settings = table.settings(cfg)
+    if settings:
+        values = " ".join(f"{key}={value:g}" for key, value in settings.items())
         lines.append(f"# {table.label} defaults: {values} ({table.note})")
     lines.append(
         f"# mesh family: {','.join(str(n) for n in spec.meshes)} "
@@ -239,7 +235,7 @@ def emit(report, spec: RunSpec) -> str:
     if spec.fmt == "json":
         defaults = {"mu": cfg.mu, "m1": cfg.m1, "m2": cfg.m2,
                     "meshes": list(spec.meshes),
-                    **{key: getattr(cfg, name) for key, name in table.settings.items()}}
+                    **table.settings(cfg)}
         out = [{c.key: c.json(getattr(r, c.attr)) for c in table.columns}
                for r in rows]
         return json.dumps({"command": spec.command, "defaults": defaults,

@@ -28,7 +28,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .spaces import MixedSpace, make_quadrature, tabulate_scalar_basis
+from .spaces import (QUAD_DEGREE, MixedSpace, make_quadrature,
+                     tabulate_scalar_basis)
 
 # quadrature degree for the non-polynomial integrands: loads and the exact pressure
 LOAD_QUAD_DEGREE = 10
@@ -49,9 +50,9 @@ def _element_geometry(space: MixedSpace):
     return p, det, invJT
 
 
-def _reference_table(space: MixedSpace, degree: int | None = None):
+def _reference_table(space: MixedSpace, degree: int = QUAD_DEGREE):
     """Rule with the reference basis values (k, nq) and gradients (k, nq, 2)."""
-    rule = space.quadrature if degree is None else make_quadrature(degree)
+    rule = make_quadrature(degree)
     vals, ref_grads = tabulate_scalar_basis(rule, space.include_bubbles)
     return rule, vals, ref_grads
 

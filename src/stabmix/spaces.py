@@ -117,7 +117,6 @@ class MixedSpace:
     n_p: int = field(init=False)
     elem_dofs: np.ndarray = field(init=False)
     free_dofs: np.ndarray = field(init=False)
-    quadrature: QuadratureRule = field(init=False)
 
     def __post_init__(self):
         if self.problem not in (1, 2):
@@ -141,7 +140,6 @@ class MixedSpace:
         object.__setattr__(self, "n_u", n_u)
         object.__setattr__(self, "n_p", nn)
         object.__setattr__(self, "elem_dofs", elem_dofs)
-        object.__setattr__(self, "quadrature", make_quadrature(QUAD_DEGREE))
 
         x, y = self.mesh.nodes.T
         side = np.abs(x) >= 1.0 - BOUNDARY_TOL

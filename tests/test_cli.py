@@ -29,8 +29,6 @@ def test_parse_defaults_problem1():
     cfg = spec.config
     assert cfg.n == 17
     assert cfg.mu == 40.0 and cfg.m1 == 320.0 and cfg.m2 == 0.0
-    assert cfg.bisect_tol == 0.01
-    assert cfg.gamma_cap == 1e6
     assert not spec.classical
 
 
@@ -58,7 +56,7 @@ def test_parse_classical_flag():
     assert spec.classical and spec.config.m1 == 0.0 and spec.config.m2 == 0.0
 
 
-def test_parse_usage_errors_exit_nonzero():
+def test_parse_usage_errors_exit_nonzero(capsys):
     for argv in (["stability", "--nodes", "0"],
                  ["stability", "--nodes", "abc"],
                  ["stability", "--mu", "-3"],
@@ -68,18 +66,29 @@ def test_parse_usage_errors_exit_nonzero():
         with pytest.raises(SystemExit) as exc:
             parse_args(argv)
         assert exc.value.code != 0
+    capsys.readouterr()
+    # fixed settings, and model coefficients that cannot change beta1
+    for argv in (["stability", "--bisect-tol", "0.1"],
+                 ["stability", "--cap", "5"],
+                 ["convergence", "--delta-gamma", "2"],
+                 ["infsup", "--mu", "5"],
+                 ["infsup", "--m1", "0"],
+                 ["infsup", "--m2", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_parse_non_finite_is_usage_error(capsys):
-    for flag in ("--mu", "--m1", "--m2", "--bisect-tol", "--cap"):
+    for flag in ("--mu", "--m1", "--m2"):
         with pytest.raises(SystemExit) as exc:
             parse_args(["stability", "--nodes", "5", flag, "nan"])
         assert exc.value.code == 2
         assert "finite" in capsys.readouterr().err
-    for flag in ("--gamma-tilde", "--delta-gamma"):
-        with pytest.raises(SystemExit) as exc:
-            parse_args(["convergence", flag, "inf"])
-        assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["convergence", "--gamma-tilde", "inf"])
+    assert exc.value.code == 2
 
 
 def _spec(command="stability", fmt="csv", meshes=(5,)):

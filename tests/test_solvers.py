@@ -190,7 +190,7 @@ def test_solve_saddle_singular_named():
 def test_lambda_min_nondecreasing_in_stabilization():
     space = MixedSpace(build_structured_mesh(5), problem=1)
     cfg = ProblemConfig(problem=1, n=5)
-    A = assemble_elastic(space, mu=cfg.mu, gamma=cfg.gamma(2.0))
+    A = assemble_elastic(space, mu=cfg.mu, gamma=cfg.mu * 2.0)
     S = assemble_divdiv(space)
     lams = [smallest_eigenvalue((A + M * S).tocsr()) for M in (0.0, 160.0, 640.0)]
     assert lams[0] <= lams[1] + 1e-10 <= lams[2] + 2e-10
