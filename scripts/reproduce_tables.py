@@ -5,8 +5,8 @@ classical-method check.
 Runs the certified critical-load tables for both model problems, the two
 manufactured-solution convergence studies, the inf-sup estimates of the
 MINI pair and of its bubble-stripped P1/P1 control, and the unstabilized
-sanity probes.  Takes about 10 s on a 2-core machine; the 33x33 critical
-loads dominate.
+sanity probes.  Takes about 6 s on a 2-core machine, 3 s of it the
+problem 2 critical loads.
 
     python3 scripts/reproduce_tables.py [--meshes 5,9,17,33] [--skip-stability]
 """

@@ -12,12 +12,11 @@ A(s) = K0 + s*Kd + s^2*K2 whose K2 = m2*S is positive semidefinite, so A is
 convex in the Loewner order: A(s) >= A(a) + (s - a)*A'(a) for s >= a (an
 overdamped-type quadratic pencil; Tisseur & Meerbergen, "The quadratic
 eigenvalue problem", SIAM Rev. 43, 2001).  The critical loads are found by
-tangent steps outward from gt = 0.  A step from a to b is proved by one
-LDL^T positive-definiteness test of the tangent A(a) + (b - a)*A'(a): a
-linear pencil positive definite at both ends is positive definite between
-them, so A is positive definite on all of [a, b].  An eigen-solve of the
-tangent pencil only proposes the step length, so its tolerance cannot make
-a verdict wrong.
+tangent steps outward from gt = 0.  One LDL^T positive-definiteness test of
+the tangent A(a) + (b - a)*A'(a) proves A > 0 on [a, b], as a linear pencil
+positive definite at both ends is so between them; with A(a) > 0, one of
+A'(a) proves A > 0 on the whole ray [a, inf).  Eigen-solves and grown steps
+only propose step lengths, so their tolerances cannot make a verdict wrong.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ INFSUP_SHIFT = -1e-5  # Lanczos shift below the spectrum [0, 2], near its bottom
 # BISECT_TOL <= 1e-11 the search was measured to stop with "not positive definite",
 # and at <= 1e-12 to differ between processes: re-measure before lowering it
 BISECT_TOL, GAMMA_CAP = 0.01, 1e6
+GROW = 1.3  # LDL^T tests, problem 2 negative, 9-33 nodes: 163 (1.1: 201, 2.0: 259)
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,17 @@ class ProblemConfig:
         return self.mu * self.gamma_tilde
 
 
-# StabilityReport.trace entries, in signed loads: a step proved positive
-# definite, and the confirming eigenvalue just past a finite critical load
+# StabilityReport.trace entries, in signed loads: a step proved positive definite
+# (hi = +-inf: a ray proof), and the confirming eigenvalue past a finite crossing
 CertifiedStep = namedtuple("CertifiedStep", "lo hi")
 Crossing = namedtuple("Crossing", "load lam")
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Critical loads of one mesh, with the certificate that proves them."""
+    """Critical loads of one mesh and the trace that proves them.  A load is
+    within BISECT_TOL below the first crossing, or +-inf: stable up to
+    GAMMA_CAP, or at every load where the trace ends in a ray proof."""
 
     problem: int
     n: int
@@ -183,36 +185,45 @@ def is_stable(cfg: ProblemConfig):
 def _certified_limit(op: _StabilityOperator, sign: float, trace: list) -> float:
     """Certified end of the stable interval from gt = 0 in one direction.
 
-    The largest eigenvalue theta of -A'(a) x = theta A(a) x puts the
-    tangent's singular point at a + 1/theta; the step 0.999/theta (to the
-    cap if theta <= 0) is halved until the tangent passes the test.  After
-    a step of at most BISECT_TOL, a failed test at a + BISECT_TOL ends the
-    search at a, once smallest_eigenvalue confirms lambda < 0 there.  A step
-    that does not advance a in floating point raises ArithmeticError.
+    After a step t, GROW*t and then half that are tried by their tangent
+    test alone.  Failing both, a ray test returns sign*inf if A'(a) > 0;
+    else the largest eigenvalue theta of -A'(a) x = theta A(a) x proposes
+    0.999/theta (the cap if theta <= 0), halved until the tangent passes.
+    After a step of at most BISECT_TOL, a failed test at a + BISECT_TOL ends
+    the search at a, once smallest_eigenvalue confirms lambda < 0 there.  A
+    step that does not advance a in floating point raises ArithmeticError.
     """
     tol, cap = BISECT_TOL, GAMMA_CAP
-    a = 0.0
+    a = last = 0.0
     while a < cap:
         A, dA = op.matrix(sign * a), op.Kd(sign) + 2.0 * a * op.K2
-        lu = positive_definite_factor(A)
-        if lu is None:  # at a > 0 the previous step proved the contrary
-            raise ArithmeticError(f"not positive definite at gamma_tilde = "
-                                  f"{sign * a!r} (bisect_tol = {tol:g})")
-        minv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
-        theta = float(spla.eigsh(-dA, k=1, M=A, Minv=minv, which="LA", tol=1e-3,
-                                 v0=np.ones(A.shape[0]),
-                                 return_eigenvectors=False)[0])
-        # freed before the next factorizations: factors alive across them
-        # fragmented the heap, raising the tables' peak RSS by about 12 MB
-        del lu, minv
-        t = cap - a if theta <= 0.0 else min(0.999 / theta, cap - a)
-        while a + t > a and positive_definite_factor(A + t * dA) is None:
-            t *= 0.5
-        if not a + t > a:  # theta NaN, or t below the resolution of a
-            raise ArithmeticError(f"no step advances gamma_tilde = {sign * a!r} "
-                                  f"(step {t!r}, bisect_tol = {tol:g})")
+        grown = min(GROW * last, cap - a)  # the last step proved A(a) > 0
+        t = next((t for t in (grown, 0.5 * grown) if a + t > a
+                  and positive_definite_factor(A + t * dA) is not None), None)
+        if t is None:  # ray test (with m2 = 0 at a = 0 only), then a Lanczos step
+            ray = (a == 0 or op.cfg.m2 > 0) and positive_definite_factor(dA) is not None
+            lu = positive_definite_factor(A)  # after the ray test's factor is freed
+            if lu is None:  # at a > 0 the previous step proved the contrary
+                raise ArithmeticError(f"not positive definite at gamma_tilde = "
+                                      f"{sign * a!r} (bisect_tol = {tol:g})")
+            if ray:  # A(s) >= A(a) + (s - a)*A'(a) > 0 for every s >= a
+                trace.append(CertifiedStep(sign * a, sign * math.inf))
+                return sign * math.inf
+            minv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
+            theta = float(spla.eigsh(-dA, k=1, M=A, Minv=minv, which="LA", tol=1e-3,
+                                     v0=np.ones(A.shape[0]),
+                                     return_eigenvectors=False)[0])
+            # freed before the next factorizations: factors alive across them
+            # fragmented the heap, raising the tables' peak RSS by about 12 MB
+            del lu, minv
+            t = cap - a if theta <= 0.0 else min(0.999 / theta, cap - a)
+            while a + t > a and positive_definite_factor(A + t * dA) is None:
+                t *= 0.5
+            if not a + t > a:  # theta NaN, or t below the resolution of a
+                raise ArithmeticError(f"no step advances gamma_tilde = {sign * a!r} "
+                                      f"(step {t!r}, bisect_tol = {tol:g})")
         trace.append(CertifiedStep(sign * a, sign * min(a + t, cap)))
-        a = min(a + t, cap)
+        a, last = min(a + t, cap), t
         end = sign * min(a + tol, cap)
         if (t <= tol and a < cap
                 and positive_definite_factor(A_end := op.matrix(end)) is None):
@@ -226,10 +237,8 @@ def _certified_limit(op: _StabilityOperator, sign: float, trace: list) -> float:
 
 
 def find_stability_limits(cfg: ProblemConfig) -> StabilityReport:
-    """Critical loads of the stabilized block on one mesh: per direction,
-    the certified end of the stable interval from gt = 0, within BISECT_TOL
-    below the first crossing, or +-inf if certified up to the cap.  The
-    trace holds the proof."""
+    """Critical loads of the stabilized block on one mesh, per direction the
+    certified end of the stable interval from gt = 0 (see StabilityReport)."""
     op = _StabilityOperator(cfg)
     trace = []
     gamma_M, gamma_m = (_certified_limit(op, sign, trace) for sign in (1.0, -1.0))

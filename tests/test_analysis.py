@@ -128,6 +128,15 @@ def test_limits_match_dense_oracle(n, problem, weights):
                 assert g == pytest.approx(1.0 / theta, abs=tol)
             else:
                 assert g == math.inf
+    # a ray proof rests on A(a) > 0 and A'(a) > 0: check the second through
+    # the pencil A'(a) x = lambda K0 x
+    rays = [e for e in rep.trace if isinstance(e, CertifiedStep) and math.isinf(e.hi)]
+    for ray in rays:
+        sign, a = math.copysign(1.0, ray.hi), abs(ray.lo)
+        dA = op.Kd(sign) + 2.0 * a * op.K2
+        assert sla.eigh(dA.toarray(), op.K0.toarray(), eigvals_only=True)[0] > 0.0
+    if problem == 1 and not weights:  # unbounded below, by a ray proof
+        assert rays and rays[-1].hi == -math.inf
 
 
 def test_stable_set_is_not_an_interval():
@@ -155,8 +164,9 @@ def test_find_stability_limits_small_mesh():
     rep = find_stability_limits(ProblemConfig(problem=1, n=9))
     assert rep.gamma_m == -math.inf
     assert rep.gamma_M == pytest.approx(14.687, abs=0.01)
-    # the proved steps tile [0, gamma_M] and, gamma_m being -inf, [-cap, 0]
-    for sign, end in ((1.0, rep.gamma_M), (-1.0, -analysis.GAMMA_CAP)):
+    # the proved steps tile [0, gamma_M] and, gamma_m being -inf, the whole
+    # negative ray: its last step is a ray proof ending at -inf
+    for sign, end in ((1.0, rep.gamma_M), (-1.0, -math.inf)):
         steps = [e for e in rep.trace
                  if isinstance(e, CertifiedStep) and sign * e.hi > 0.0]
         assert steps[0].lo == 0.0 and steps[-1].hi == end
@@ -165,6 +175,45 @@ def test_find_stability_limits_small_mesh():
     crossings = [e for e in rep.trace if isinstance(e, Crossing)]
     assert len(crossings) == 1 and crossings[0].lam < 0.0
     assert crossings[0].load == pytest.approx(rep.gamma_M + analysis.BISECT_TOL)
+
+
+def _count_eigsh(monkeypatch):
+    calls = []
+    real = spla.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis.spla, "eigsh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [9, 17])
+def test_ray_proof_settles_unbounded_direction(monkeypatch, n):
+    # problem 1's A'(0) = m1*S + mu*R is positive definite under negative
+    # loads, which proves A > 0 on the whole ray from one factorization
+    op = _StabilityOperator(ProblemConfig(problem=1, n=n))
+    calls = _count_eigsh(monkeypatch)
+    trace = []
+    assert analysis._certified_limit(op, -1.0, trace) == -math.inf
+    assert trace == [CertifiedStep(-0.0, -math.inf)]
+    assert math.copysign(1.0, trace[0].lo) == -1.0
+    assert calls == []
+
+
+def test_tail_steps_skip_lanczos(monkeypatch, factor_budget):
+    # problem 2's A' fails every ray test, so the negative direction steps
+    # to the cap; after the first step the grown proposals are proved by
+    # their tangent test alone
+    op = _StabilityOperator(ProblemConfig(problem=2, n=9))
+    calls = _count_eigsh(monkeypatch)
+    trace = []
+    assert analysis._certified_limit(op, -1.0, trace) == -math.inf
+    assert len(calls) == 1  # the first step's
+    assert trace[0].lo == 0.0 and trace[-1].hi == -analysis.GAMMA_CAP
+    assert all(s.hi == t.lo for s, t in zip(trace, trace[1:]))
+    assert len(trace) > 2
 
 
 def test_unconfirmed_crossing_raises(monkeypatch):
@@ -183,7 +232,9 @@ def test_nan_step_raises(monkeypatch, factor_budget):
 def test_step_below_resolution_raises(monkeypatch, factor_budget):
     # the first proposal steps to gt = 1, well inside the stable range
     # (gamma_M = 14.69); every later one is a step of 1e-30, which 1.0 + t
-    # rounds away
+    # rounds away.  Tail proposals grown to the cap fail their tangent test,
+    # so every later step falls back to the Lanczos proposal
+    monkeypatch.setattr(analysis, "GROW", analysis.GAMMA_CAP)
     thetas = iter([0.999])
     monkeypatch.setattr(analysis.spla, "eigsh",
                         lambda *a, **k: np.array([next(thetas, 1e30)]))

@@ -232,8 +232,10 @@ def test_main_unwritable_output_fails():
 
 
 def test_main_tiny_mu_stops_with_error(capsys, factor_budget):
-    # at mu = 1e-300 the tangent eigen-solve returns theta = NaN
-    code = main(["stability", "--nodes", "5", "--mu", "1e-300"])
+    # at mu = 1e-300 the tangent eigen-solve of problem 2 returns theta = NaN
+    # (problem 1 is proved stable at every load there: A' = m1*S -+ mu*R is
+    # positive definite in both directions)
+    code = main(["stability", "--problem", "2", "--nodes", "5", "--mu", "1e-300"])
     assert code == 1
     assert capsys.readouterr().err.startswith("stabmix: error:")
 
