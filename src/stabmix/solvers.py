@@ -2,13 +2,13 @@
 
 Every factorization is ``ldlt_factor``'s: SuperLU in a symmetric
 fill-reducing order with diagonal pivots preferred.  ``smallest_eigenvalue``
-proves a shift sigma below the spectrum by positive LDL^T pivots of
-A - sigma*I (sigma = 0 first, then geometric steps down to the Gershgorin
-bound) and runs shift-invert Lanczos about it from a fixed start vector, so
-results are deterministic.  On the 33x33 convergence saddles the order keeps
-0.41M nonzeros in L + U where SuperLU's default COLAMD order kept 1.3-1.4M,
-and factor plus solve takes 0.03 s instead of 0.11 s (0.18 s instead of
-1.0 s at 65x65, 2 vCPUs).
+takes the first shift sigma with at most one negative LDL^T pivot of
+A - sigma*I, so at most one eigenvalue below it (sigma = 0 first, then
+geometric steps down to the Gershgorin bound), and runs shift-invert
+Lanczos about it from a fixed start vector, so results are deterministic.
+On the 33x33 convergence saddles the order keeps 0.41M nonzeros in L + U
+where SuperLU's default COLAMD order kept 1.3-1.4M, and factor plus solve
+takes 0.03 s instead of 0.11 s (0.18 s instead of 1.0 s at 65x65, 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -59,26 +59,31 @@ def ldlt_factor(A):
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
-def positive_definite_factor(A):
-    """Sparse LDL^T factorization of symmetric A if it proves A positive
-    definite, else None.
-
-    Positive pivots of an LDL^T factor prove positive definiteness
-    (Sylvester's law of inertia).  A failed factorization or a
-    non-symmetric permutation proves nothing, so it counts as not
-    positive definite.
-    """
+def _factor_with_inertia(A):
+    """ldlt_factor of symmetric A and its count of non-positive pivots, which
+    is the number of non-positive eigenvalues of A (Sylvester's law of
+    inertia).  The count is None when the factorization proves nothing: A
+    exactly singular, or a non-symmetric permutation."""
     try:
         lu = ldlt_factor(A)
     except RuntimeError:  # exactly singular
-        return None
-    if np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0):
-        return lu
-    return None
+        return None, None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return lu, None
+    return lu, int(np.count_nonzero(~(lu.U.diagonal() > 0.0)))
+
+
+def positive_definite_factor(A):
+    """Sparse LDL^T factorization of symmetric A if it proves A positive
+    definite, else None: positive pivots prove positive definiteness, and
+    a factorization that proves nothing counts as not positive definite."""
+    lu, nonpositive = _factor_with_inertia(A)
+    return lu if nonpositive == 0 else None
 
 
 def _shift_below_spectrum(A):
-    """Shift sigma <= 0 with A - sigma*I positive definite, and its sparse LU.
+    """Shift sigma <= 0 with at most one eigenvalue of A below it, the sparse
+    LU of A - sigma*I and the count (0 or 1) of those eigenvalues.
 
     Below the Gershgorin lower bound A - sigma*I is strictly diagonally
     dominant with a positive diagonal, so the search ends there at the
@@ -92,13 +97,14 @@ def _shift_below_spectrum(A):
     eye = sp.identity(A.shape[0], format="csc")
     sigma = 0.0
     while True:
-        lu = positive_definite_factor(A - sigma * eye)
-        if lu is not None:
-            return sigma, lu
+        lu, below = _factor_with_inertia(A - sigma * eye)
+        if below is not None and below <= 1:
+            return sigma, lu, below
         if sigma < gershgorin:
             raise ArithmeticError(
-                f"no positive definite factorization of A - sigma*I even at "
-                f"sigma = {sigma:.3e}, below the Gershgorin bound {gershgorin:.3e}")
+                f"no LDL^T factorization of A - sigma*I with at most one negative "
+                f"pivot at sigma = {sigma:.3e}, below the Gershgorin bound "
+                f"{gershgorin:.3e}")
         sigma = -step
         step *= 10.0
 
@@ -114,10 +120,12 @@ def smallest_eigenvalue(S) -> float:
     n = A.shape[0]
     if n == 1:
         return float(A[0, 0])
-    sigma, lu = _shift_below_spectrum(A)
+    sigma, lu, below = _shift_below_spectrum(A)
     opinv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
-    vals = spla.eigsh(A, k=1, sigma=sigma, which="LM", OPinv=opinv,
-                      v0=np.ones(n), return_eigenvectors=False)
+    # nu = 1/(lambda - sigma): with no eigenvalue below sigma lambda_min has the
+    # largest |nu|, with one it has the only negative nu
+    vals = spla.eigsh(A, k=1, sigma=sigma, which="SA" if below else "LM",
+                      OPinv=opinv, v0=np.ones(n), return_eigenvectors=False)
     return float(vals[0])
 
 

@@ -12,7 +12,7 @@ from stabmix import (MixedSpace, NonSymmetricMatrixError, ProblemConfig,
                      SaddleSystem, SingularSaddleError, assemble_coupling,
                      assemble_divdiv, assemble_elastic, assemble_load,
                      build_structured_mesh, estimate_inf_sup,
-                     find_stability_limits, manufactured_load,
+                     find_stability_limits, is_stable, manufactured_load,
                      run_convergence, smallest_eigenvalue, solve_saddle)
 from stabmix import solvers
 from stabmix.analysis import _StabilityOperator
@@ -109,6 +109,20 @@ def test_assembled_blocks_across_critical_load(problem, n, gt, classical,
     lam = smallest_eigenvalue(A)
     assert np.sign(lam) == np.sign(lam_dense) == expect_sign
     assert lam == pytest.approx(lam_dense, rel=1e-8)
+
+
+@pytest.mark.parametrize("problem,gt", [(1, 15.0), (2, 4.0)])  # 9x9 gamma_M 14.68, 3.86
+def test_unstable_verdict_factors_once(monkeypatch, problem, gt):
+    # one negative LDL^T pivot at sigma = 0 leaves lambda_min as the only
+    # eigenvalue below the shift, so no shift search follows
+    real, calls = solvers.ldlt_factor, []
+    monkeypatch.setattr(solvers, "ldlt_factor", lambda A: calls.append(A) or real(A))
+    cfg = ProblemConfig(problem=problem, n=9, gamma_tilde=gt)
+    lam, stable = is_stable(cfg)
+    assert not stable and len(calls) == 1
+    lam_dense = sla.eigvalsh(_StabilityOperator(cfg).matrix(gt).toarray())
+    assert lam_dense[0] < 0.0 < lam_dense[1]
+    assert lam == pytest.approx(lam_dense[0], rel=1e-10)
 
 
 @settings(deadline=None, max_examples=15)
