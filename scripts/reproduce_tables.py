@@ -5,8 +5,8 @@ classical-method check.
 Runs the certified critical-load tables for both model problems, the two
 manufactured-solution convergence studies, the inf-sup estimates of the
 MINI pair and of its bubble-stripped P1/P1 control, and the unstabilized
-sanity probes.  Takes about 6 s on a 2-core machine, 3 s of it the
-problem 2 critical loads.
+sanity probes.  Takes about 6 s on a 2-core machine, 3-4 s of it the
+problem 2 critical loads.  The mesh family defaults to the CLI's.
 
     python3 scripts/reproduce_tables.py [--meshes 5,9,17,33] [--skip-stability]
 """
@@ -15,7 +15,7 @@ import argparse
 import time
 
 from stabmix import ProblemConfig, is_stable
-from stabmix.cli import emit, parse_args, run
+from stabmix.cli import DEFAULT_MESHES, emit, parse_args, run
 
 
 def print_table(title, argv):
@@ -31,7 +31,7 @@ def print_table(title, argv):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--meshes", default="5,9,17,33")
+    parser.add_argument("--meshes", default=",".join(map(str, DEFAULT_MESHES)))
     parser.add_argument("--skip-stability", action="store_true",
                         help="only run the fast convergence and inf-sup studies")
     args = parser.parse_args()

@@ -150,27 +150,26 @@ def compute_M0(constants: AbstractConstants) -> float:
 
 
 class _StabilityOperator:
-    """Reduced operators of one mesh as A(s) = K0 + s*Kd(sign) + s^2*K2 in
-    the loading direction sign, s = |gt|: K0 = mu*E2, Kd = -sign*mu*R + m1*S
-    and K2 = m2*S.  Kd is built for the direction in use, and only for it."""
+    """Reduced operators of one mesh: K0 = mu*E2, the load stiffness R and
+    the div-div matrix S.  In the loading direction sign, s = |gt|, the block
+    is A(s) = K0 + s*Kd + s^2*K2 with (Kd, K2) = parts(sign)."""
 
     def __init__(self, cfg: ProblemConfig):
         self.cfg = cfg
         self.space = MixedSpace(build_structured_mesh(cfg.n), problem=cfg.problem)
-        E2, self._R = forms.elastic_parts(self.space)
-        self._S = forms.assemble_divdiv(self.space)
+        E2, self.R = forms.elastic_parts(self.space)
+        self.S = forms.assemble_divdiv(self.space)
         self.K0 = cfg.mu * E2
-        self.K2 = cfg.m2 * self._S
-        self._Kd = (0.0, None)  # (sign, Kd) of the direction last used
 
-    def Kd(self, sign: float):
-        if self._Kd[0] != sign:
-            self._Kd = (sign, -sign * self.cfg.mu * self._R + self.cfg.m1 * self._S)
-        return self._Kd[1]
+    def parts(self, sign: float):
+        """(Kd, K2) = (-sign*mu*R + m1*S, m2*S): M = m1*s + m2*s^2 of cfg."""
+        cfg = self.cfg
+        return -sign * cfg.mu * self.R + cfg.m1 * self.S, cfg.m2 * self.S
 
     def matrix(self, gamma_tilde: float):
         sign, s = math.copysign(1.0, gamma_tilde), abs(gamma_tilde)
-        return (self.K0 + s * self.Kd(sign) + s * s * self.K2).tocsr()
+        Kd, K2 = self.parts(sign)
+        return (self.K0 + s * Kd + s * s * K2).tocsr()
 
 
 def is_stable(cfg: ProblemConfig):
@@ -185,8 +184,8 @@ def is_stable(cfg: ProblemConfig):
 def _certified_limit(op: _StabilityOperator, sign: float, trace: list) -> float:
     """Certified end of the stable interval from gt = 0 in one direction.
 
-    After a step t, GROW*t and then half that are tried by their tangent
-    test alone.  Failing both, a ray test returns sign*inf if A'(a) > 0;
+    After a step t with m2 > 0, GROW*t and then half that are tried by their
+    tangent test alone.  Failing both, a ray test returns sign*inf if A'(a) > 0;
     else the largest eigenvalue theta of -A'(a) x = theta A(a) x proposes
     0.999/theta (the cap if theta <= 0), halved until the tangent passes.
     After a step of at most BISECT_TOL, a failed test at a + BISECT_TOL ends
@@ -194,10 +193,13 @@ def _certified_limit(op: _StabilityOperator, sign: float, trace: list) -> float:
     step that does not advance a in floating point raises ArithmeticError.
     """
     tol, cap = BISECT_TOL, GAMMA_CAP
+    Kd, K2 = op.parts(sign)
     a = last = 0.0
     while a < cap:
-        A, dA = op.matrix(sign * a), op.Kd(sign) + 2.0 * a * op.K2
-        grown = min(GROW * last, cap - a)  # the last step proved A(a) > 0
+        A, dA = op.matrix(sign * a), Kd + 2.0 * a * K2
+        # the last step proved A(a) > 0.  With m2 = 0, A is its own tangent
+        # and the last Lanczos step aimed at its singular point: grow no step
+        grown = min(GROW * last, cap - a) if op.cfg.m2 > 0 else 0.0
         t = next((t for t in (grown, 0.5 * grown) if a + t > a
                   and positive_definite_factor(A + t * dA) is not None), None)
         if t is None:  # ray test (with m2 = 0 at a = 0 only), then a Lanczos step
@@ -326,7 +328,7 @@ def run_convergence(cfg: ProblemConfig, meshes) -> ConvergenceTable:
     Solves the stabilized system at cfg.gamma_tilde on each mesh, checks
     stability first (refusing with a diagnostic if the block is not
     positive definite), and reports pressure/displacement errors with the
-    observed pressure order under mesh halving.
+    observed pressure order log(e_prev/e) / log(h_prev/h), h = 2/(n - 1).
 
     The displacement error is measured on the vertex (conforming P1) part
     of the field; the element bubbles are interior enrichment whose
@@ -337,7 +339,7 @@ def run_convergence(cfg: ProblemConfig, meshes) -> ConvergenceTable:
     if not meshes:
         raise ValueError("mesh list must not be empty")
     rows = []
-    prev_err = None
+    prev = None  # (n, err_p) of the previous mesh
     for n in meshes:
         c = replace(cfg, n=n)
         op = _StabilityOperator(c)
@@ -357,8 +359,10 @@ def run_convergence(cfg: ProblemConfig, meshes) -> ConvergenceTable:
         err_p, err_w = compute_errors(
             space, vertex_w, p_h,
             exact_pressure=lambda x, y: c.delta_gamma * manufactured_pressure(x, y))
-        order = None if prev_err is None else math.log2(prev_err / err_p)
+        order = None  # in h = 2/(n - 1); none on an unchanged mesh or a zero error
+        if prev is not None and prev[0] != n and prev[1] > 0.0 and err_p > 0.0:
+            order = math.log2(prev[1] / err_p) / math.log2((n - 1) / (prev[0] - 1))
         rows.append(ConvergenceRow(n=n, err_p_L2=err_p, err_w_H1=err_w, order=order))
-        prev_err = err_p
+        prev = n, err_p
     return ConvergenceTable(problem=cfg.problem, gamma_tilde=cfg.gamma_tilde,
                             rows=tuple(rows))

@@ -5,9 +5,11 @@ are self-describing: physical defaults (mu, m1, m2, delta_gamma) are those
 of ProblemConfig, which also validates them, the critical-load tolerance
 and load cap are constants of analysis, and the study load factors and the
 mesh family are set here.  Only stability and convergence take mu, m1 and
-m2: they cannot change an inf-sup constant.  Each command's table is a list
-of columns rendered by one csv, one json and one pretty renderer.  Output
-is byte-identical for identical run specifications.
+m2: they cannot change an inf-sup constant.  --m1 0 --m2 0 sets the weight
+M = m1*|gt| + m2*gt^2 to zero, the classical method, which the header
+notes.  Each command's table is a list of columns rendered by one csv, one
+json and one pretty renderer.  Output is byte-identical for identical run
+specifications.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ class RunSpec:
     command: str
     meshes: tuple
     config: ProblemConfig
-    classical: bool
     drop_bubbles: bool
     fmt: str
     output: str | None
@@ -125,8 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m2", type=float,
                        help="quadratic stabilization coefficient "
                             "(default 0 for problem 1, 1.36 for problem 2)")
-        p.add_argument("--classical", action="store_true",
-                       help="drop the stabilization term (M = 0)")
     p_conv.add_argument("--gamma-tilde", type=float,
                         help="load factor (default 7.125 for problem 1, "
                              "3.23 for problem 2)")
@@ -156,19 +155,15 @@ def parse_args(argv) -> RunSpec:
         if not meshes:
             parser.error("--nodes list must not be empty")
 
-    classical = getattr(ns, "classical", False)
     opts = {k: v for k, v in vars(ns).items()
             if k in _CONFIG_FIELDS and v is not None}
     opts.setdefault("gamma_tilde", DEFAULT_GAMMA_TILDE[ns.problem])
-    if classical:
-        opts.update(m1=0.0, m2=0.0)
     try:
         configs = [ProblemConfig(n=n, **opts) for n in meshes]
     except ValueError as err:
         parser.error(str(err))
 
     return RunSpec(command=ns.command, meshes=meshes, config=configs[0],
-                   classical=classical,
                    drop_bubbles=getattr(ns, "drop_bubbles", False),
                    fmt=ns.fmt, output=ns.output)
 
@@ -196,7 +191,7 @@ def _provenance_lines(spec: RunSpec, table: Table):
     lines = [
         f"# model defaults: mu={cfg.mu:g} m1={cfg.m1:g} m2={cfg.m2:g} "
         f"(reference stabilized setup for problem {cfg.problem}"
-        + ("; classical M=0 requested" if spec.classical else "") + ")",
+        + ("; classical M=0 requested" if cfg.m1 == cfg.m2 == 0 else "") + ")",
     ]
     settings = table.settings(cfg)
     if settings:

@@ -133,7 +133,8 @@ def test_limits_match_dense_oracle(n, problem, weights):
     rays = [e for e in rep.trace if isinstance(e, CertifiedStep) and math.isinf(e.hi)]
     for ray in rays:
         sign, a = math.copysign(1.0, ray.hi), abs(ray.lo)
-        dA = op.Kd(sign) + 2.0 * a * op.K2
+        Kd, K2 = op.parts(sign)
+        dA = Kd + 2.0 * a * K2
         assert sla.eigh(dA.toarray(), op.K0.toarray(), eigvals_only=True)[0] > 0.0
     if problem == 1 and not weights:  # unbounded below, by a ray proof
         assert rays and rays[-1].hi == -math.inf
@@ -216,6 +217,27 @@ def test_tail_steps_skip_lanczos(monkeypatch, factor_budget):
     assert len(trace) > 2
 
 
+def test_linear_block_grows_no_step(monkeypatch):
+    # with m2 = 0 the block is its own tangent, so the Lanczos step aims at
+    # its singular point and no grown step is tried: three steps take the ray
+    # test at gt = 0, A(a) and the tangent per step, and the end test
+    real, calls = analysis.positive_definite_factor, []
+    monkeypatch.setattr(analysis, "positive_definite_factor",
+                        lambda A: calls.append(None) or real(A))
+    op = _StabilityOperator(ProblemConfig(problem=1, n=9))
+    trace = []
+    limit = analysis._certified_limit(op, 1.0, trace)
+    ends = (0.0, 14.672503421350756, 14.687175912877969, 14.6871905853687)
+    assert limit == pytest.approx(ends[-1], rel=1e-12)
+    steps, (crossing,) = trace[:-1], trace[-1:]
+    assert [s.lo for s in steps] == pytest.approx(ends[:-1], rel=1e-12)
+    assert [s.hi for s in steps] == pytest.approx(ends[1:], rel=1e-12)
+    assert isinstance(crossing, Crossing)
+    assert crossing.load == pytest.approx(14.6971905853687, rel=1e-12)
+    assert crossing.lam == pytest.approx(-0.015688121188100743, rel=1e-6)
+    assert len(calls) == 8
+
+
 def test_unconfirmed_crossing_raises(monkeypatch):
     monkeypatch.setattr(analysis, "smallest_eigenvalue", lambda A: 1.0)
     with pytest.raises(ArithmeticError, match="not negative"):
@@ -232,8 +254,8 @@ def test_nan_step_raises(monkeypatch, factor_budget):
 def test_step_below_resolution_raises(monkeypatch, factor_budget):
     # the first proposal steps to gt = 1, well inside the stable range
     # (gamma_M = 14.69); every later one is a step of 1e-30, which 1.0 + t
-    # rounds away.  Tail proposals grown to the cap fail their tangent test,
-    # so every later step falls back to the Lanczos proposal
+    # rounds away.  With m2 = 0 no grown step is tried, and grown to the cap
+    # it would fail its tangent test: every later step is the Lanczos one
     monkeypatch.setattr(analysis, "GROW", analysis.GAMMA_CAP)
     thetas = iter([0.999])
     monkeypatch.setattr(analysis.spla, "eigsh",
@@ -418,6 +440,26 @@ def test_convergence_small_meshes():
     assert table.rows[0].err_w_H1 <= 1e-5
 
 
+def test_convergence_order_in_h():
+    # the order is measured in h = 2/(n - 1), not per halving: 5 -> 17
+    # divides h by 4
+    cfg = ProblemConfig(problem=1, gamma_tilde=7.125)
+    halving = run_convergence(cfg, [5, 9, 17]).rows
+    skip = run_convergence(cfg, [5, 17]).rows
+    assert skip[1].order == pytest.approx(2.0, abs=0.1)
+    assert skip[1].order == pytest.approx(
+        math.log2(halving[0].err_p_L2 / halving[2].err_p_L2) / 2.0, rel=1e-12)
+    # an unchanged mesh has no order, where log2 printed 0.00
+    assert [r.order for r in run_convergence(cfg, [5, 5]).rows] == [None, None]
+
+
+def test_convergence_zero_errors_have_no_order():
+    # a zero load increment has the exact discrete solution zero on every mesh
+    table = run_convergence(ProblemConfig(delta_gamma=0.0, gamma_tilde=1.0), [5, 9])
+    assert all(r.err_p_L2 == 0.0 and r.err_w_H1 == 0.0 for r in table.rows)
+    assert [r.order for r in table.rows] == [None, None]
+
+
 def test_convergence_linearity_in_delta_gamma():
     base = run_convergence(ProblemConfig(problem=1, gamma_tilde=7.125), [5])
     doubled = run_convergence(
@@ -476,5 +518,6 @@ def test_operator_matrix_affine_pieces():
         sign, s = math.copysign(1.0, gt), abs(gt)
         fd = (4.0 * op.matrix(sign * (s + 1.0)) - 3.0 * op.matrix(sign * s)
               - op.matrix(sign * (s + 2.0))) / 2.0
-        dA = op.Kd(sign) + 2.0 * s * op.K2
+        Kd, K2 = op.parts(sign)
+        dA = Kd + 2.0 * s * K2
         assert abs(fd - dA).max() <= 1e-8 * abs(dA).max()

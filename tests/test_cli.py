@@ -29,7 +29,6 @@ def test_parse_defaults_problem1():
     cfg = spec.config
     assert cfg.n == 17
     assert cfg.mu == 40.0 and cfg.m1 == 320.0 and cfg.m2 == 0.0
-    assert not spec.classical
 
 
 def test_parse_defaults_mesh_family():
@@ -52,8 +51,9 @@ def test_parse_convergence_problem2():
 
 
 def test_parse_classical_flag():
-    spec = parse_args(["stability", "--classical", "--nodes", "9"])
-    assert spec.classical and spec.config.m1 == 0.0 and spec.config.m2 == 0.0
+    # the classical method is the stabilization weight set to zero
+    spec = parse_args(["stability", "--m1", "0", "--m2", "0", "--nodes", "9"])
+    assert spec.config.m1 == 0.0 and spec.config.m2 == 0.0
 
 
 def test_parse_usage_errors_exit_nonzero(capsys):
@@ -67,9 +67,12 @@ def test_parse_usage_errors_exit_nonzero(capsys):
             parse_args(argv)
         assert exc.value.code != 0
     capsys.readouterr()
-    # fixed settings, and model coefficients that cannot change beta1
+    # fixed settings, an alias of --m1 0 --m2 0, and model coefficients
+    # that cannot change beta1
     for argv in (["stability", "--bisect-tol", "0.1"],
                  ["stability", "--cap", "5"],
+                 ["stability", "--classical"],
+                 ["convergence", "--classical"],
                  ["convergence", "--delta-gamma", "2"],
                  ["infsup", "--mu", "5"],
                  ["infsup", "--m1", "0"],
@@ -94,7 +97,7 @@ def test_parse_non_finite_is_usage_error(capsys):
 def _spec(command="stability", fmt="csv", meshes=(5,)):
     config = ProblemConfig(problem=1, n=meshes[0], gamma_tilde=7.125)
     return RunSpec(command=command, meshes=meshes, config=config,
-                   classical=False, drop_bubbles=False, fmt=fmt, output=None)
+                   drop_bubbles=False, fmt=fmt, output=None)
 
 
 def test_emit_stability_csv_row():
@@ -121,6 +124,21 @@ def test_emit_provenance_header_names_defaults():
     joined = " ".join(header)
     for token in ("mu=40", "m1=320", "m2=0", "bisect_tol=0.01", "cap=1e+06"):
         assert token in joined
+    assert "classical" not in joined
+
+
+def test_emit_header_notes_classical_weights():
+    # M = 0 is noted in the header, whichever command sets it
+    empty = {"stability": [],
+             "convergence": ConvergenceTable(problem=1, gamma_tilde=7.125, rows=())}
+    for command, report in empty.items():
+        spec = parse_args([command, "--m1", "0", "--m2", "0", "--nodes", "5"])
+        header = emit(report, spec).splitlines()[0]
+        assert header == ("# model defaults: mu=40 m1=0 m2=0 (reference stabilized "
+                          "setup for problem 1; classical M=0 requested)")
+    # m2 = 0 alone keeps the weight m1*|gt|, and infsup takes no weights
+    for argv in (["stability", "--m2", "0"], ["infsup"]):
+        assert "classical" not in emit([], parse_args(argv))
 
 
 def test_emit_empty_convergence_header_only():
@@ -241,7 +259,7 @@ def test_main_tiny_mu_stops_with_error(capsys, factor_budget):
 
 
 def test_main_classical_runs(capsys):
-    code = main(["stability", "--classical", "--nodes", "5",
+    code = main(["stability", "--m1", "0", "--m2", "0", "--nodes", "5",
                  "--format", "csv"])
     assert code == 0
     out = capsys.readouterr().out
