@@ -15,12 +15,17 @@ eigenvalue problem", SIAM Rev. 43, 2001).  The critical loads are found by
 tangent steps outward from gt = 0.  One LDL^T positive-definiteness test of
 the tangent A(a) + (b - a)*A'(a) proves A > 0 on [a, b], as a linear pencil
 positive definite at both ends is so between them; with A(a) > 0, one of
-A'(a) proves A > 0 on the whole ray [a, inf).  Eigen-solves and grown steps
-only propose step lengths, so their tolerances cannot make a verdict wrong.
+A'(a) proves A > 0 on the whole ray [a, inf).  Each such test condenses the
+MINI bubbles out, element by element: A > 0 iff every 2x2 bubble block and the
+vertex Schur complement, a third of the size, are (Haynsworth's inertia
+additivity, Linear Algebra Appl. 1, 1968).  Eigen-solves and grown steps only
+propose step lengths, so their tolerances cannot make a verdict wrong; a
+Lanczos proposal that needs more than LANCZOS_RESTARTS restarts is the cap.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -44,6 +49,7 @@ INFSUP_SHIFT = -1e-5  # Lanczos shift below the spectrum [0, 2], near its bottom
 # and at <= 1e-12 to differ between processes: re-measure before lowering it
 BISECT_TOL, GAMMA_CAP = 0.01, 1e6
 GROW = 1.3  # LDL^T tests, problem 2 negative, 9-33 nodes: 163 (1.1: 201, 2.0: 259)
+LANCZOS_RESTARTS = 10  # ARPACK restarts of a step proposal; finite crossings took <= 5
 
 
 @dataclass(frozen=True)
@@ -150,26 +156,67 @@ def compute_M0(constants: AbstractConstants) -> float:
 
 
 class _StabilityOperator:
-    """Reduced operators of one mesh: K0 = mu*E2, the load stiffness R and
-    the div-div matrix S.  In the loading direction sign, s = |gt|, the block
-    is A(s) = K0 + s*Kd + s^2*K2 with (Kd, K2) = parts(sign)."""
+    """Reduced operators of one mesh as data over the CSR pattern they share,
+    explicit zeros included: K0 = mu*E2, the load stiffness R and the
+    div-div matrix S.  In the loading direction sign, s = |gt|, the block is
+    A(s) = K0 + s*Kd + s^2*K2 with (Kd, K2) = parts(sign)."""
 
     def __init__(self, cfg: ProblemConfig):
         self.cfg = cfg
         self.space = MixedSpace(build_structured_mesh(cfg.n), problem=cfg.problem)
-        E2, self.R = forms.elastic_parts(self.space)
-        self.S = forms.assemble_divdiv(self.space)
-        self.K0 = cfg.mu * E2
+        self.plan = self.space.scatter_plan("uu")
+        E2, R = forms.elastic_parts(self.space)
+        self.K0, self.R = cfg.mu * E2.data, R.data
+        self.S = forms.assemble_divdiv(self.space).data
 
     def parts(self, sign: float):
         """(Kd, K2) = (-sign*mu*R + m1*S, m2*S): M = m1*s + m2*s^2 of cfg."""
         cfg = self.cfg
         return -sign * cfg.mu * self.R + cfg.m1 * self.S, cfg.m2 * self.S
 
-    def matrix(self, gamma_tilde: float):
+    def csr(self, data) -> sp.csr_matrix:
+        """The operator of data over the plan's shared arrays: never modify it."""
+        return sp.csr_matrix((data, self.plan.indices, self.plan.indptr),
+                             shape=self.plan.shape)
+
+    def matrix(self, gamma_tilde: float) -> sp.csr_matrix:
+        """The block, summed as sparse matrices, which prunes its exact zeros;
+        pruning the summed data instead raised the refine peak RSS by 5 MB."""
         sign, s = math.copysign(1.0, gamma_tilde), abs(gamma_tilde)
-        Kd, K2 = self.parts(sign)
-        return (self.K0 + s * Kd + s * s * K2).tocsr()
+        Kd, K2 = (self.csr(d) for d in self.parts(sign))
+        return (self.csr(self.K0) + s * Kd + s * s * K2).tocsr()
+
+    @functools.cached_property
+    def _condensation(self):
+        """Slots of B_e, C_e and C_e^T B_e^-1 C_e, and the slots and pattern of the
+        block of the free vertex dofs, numbered first; a fixed vertex takes data
+        slot nnz, read as zero, and block slot nvv."""
+        plan, nt = self.plan, self.space.mesh.n_triangles
+        nvf = int(np.searchsorted(self.space.free_dofs, 2 * self.space.mesh.n_nodes))
+        pos = plan.pos.reshape(nt, 4, 4, 2, 2)  # [e, a, b, c, d], bubble a = 3
+        vv = np.flatnonzero(plan.indices[:plan.indptr[nvf]] < nvf)
+        to_vv = np.full(len(plan.indices) + 1, len(vv))
+        to_vv[vv] = np.arange(len(vv))
+        upd = to_vv[pos[:, :3, :3].transpose(0, 1, 3, 2, 4).reshape(nt, 6, 6)]
+        return (pos[:, 3, 3], pos[:, 3, :3].transpose(0, 2, 1, 3).reshape(nt, 2, 6),
+                upd, vv, plan.indices[vv], np.searchsorted(vv, plan.indptr[:nvf + 1]))
+
+    def positive_definite(self, data):
+        """positive_definite_factor of the vertex Schur complement A_vv - sum_e
+        C_e^T B_e^-1 C_e of block data, or None: A > 0 iff it and every bubble
+        block B_e are.  A B_e that is not positive definite returns None unfactored."""
+        bb, bv, upd, vv, indices, indptr = self._condensation
+        ext = np.append(data, 0.0)
+        B, C = ext[bb], ext[bv]
+        det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
+        if not (np.all(B[:, 0, 0] > 0.0) and np.all(det > 0.0)):
+            return None
+        Binv = np.stack([B[:, 1, 1], -B[:, 0, 1], -B[:, 1, 0], B[:, 0, 0]], axis=-1)
+        U = C.transpose(0, 2, 1) @ ((Binv / det[:, None]).reshape(-1, 2, 2) @ C)
+        schur = data[vv] - np.bincount(upd.ravel(), weights=U.ravel(),
+                                       minlength=len(vv) + 1)[:len(vv)]
+        return positive_definite_factor(
+            sp.csr_matrix((schur, indices, indptr), shape=(len(indptr) - 1,) * 2))
 
 
 def is_stable(cfg: ProblemConfig):
@@ -187,39 +234,44 @@ def _certified_limit(op: _StabilityOperator, sign: float, trace: list) -> float:
     After a step t with m2 > 0, GROW*t and then half that are tried by their
     tangent test alone.  Failing both, a ray test returns sign*inf if A'(a) > 0;
     else the largest eigenvalue theta of -A'(a) x = theta A(a) x proposes
-    0.999/theta (the cap if theta <= 0), halved until the tangent passes.
-    After a step of at most BISECT_TOL, a failed test at a + BISECT_TOL ends
-    the search at a, once smallest_eigenvalue confirms lambda < 0 there.  A
-    step that does not advance a in floating point raises ArithmeticError.
+    0.999/theta (the cap if theta <= 0 or Lanczos does not converge within
+    LANCZOS_RESTARTS restarts), halved until the tangent passes.  After a step
+    of at most BISECT_TOL, a failed test at a + BISECT_TOL ends the search at
+    a, once smallest_eigenvalue confirms lambda < 0 there.  A step that does
+    not advance a in floating point raises ArithmeticError.
     """
     tol, cap = BISECT_TOL, GAMMA_CAP
     Kd, K2 = op.parts(sign)
     a = last = 0.0
     while a < cap:
-        A, dA = op.matrix(sign * a), Kd + 2.0 * a * K2
+        A, dA = op.K0 + a * Kd + a * a * K2, Kd + 2.0 * a * K2  # A(a), A'(a)
         # the last step proved A(a) > 0.  With m2 = 0, A is its own tangent
         # and the last Lanczos step aimed at its singular point: grow no step
         grown = min(GROW * last, cap - a) if op.cfg.m2 > 0 else 0.0
         t = next((t for t in (grown, 0.5 * grown) if a + t > a
-                  and positive_definite_factor(A + t * dA) is not None), None)
+                  and op.positive_definite(A + t * dA) is not None), None)
         if t is None:  # ray test (with m2 = 0 at a = 0 only), then a Lanczos step
-            ray = (a == 0 or op.cfg.m2 > 0) and positive_definite_factor(dA) is not None
-            lu = positive_definite_factor(A)  # after the ray test's factor is freed
+            ray = (a == 0 or op.cfg.m2 > 0) and op.positive_definite(dA) is not None
+            lu = positive_definite_factor(A_csr := op.matrix(sign * a))
             if lu is None:  # at a > 0 the previous step proved the contrary
                 raise ArithmeticError(f"not positive definite at gamma_tilde = "
                                       f"{sign * a!r} (bisect_tol = {tol:g})")
             if ray:  # A(s) >= A(a) + (s - a)*A'(a) > 0 for every s >= a
                 trace.append(CertifiedStep(sign * a, sign * math.inf))
                 return sign * math.inf
-            minv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
-            theta = float(spla.eigsh(-dA, k=1, M=A, Minv=minv, which="LA", tol=1e-3,
-                                     v0=np.ones(A.shape[0]),
-                                     return_eigenvectors=False)[0])
+            minv = spla.LinearOperator(A_csr.shape, matvec=lu.solve, dtype=float)
+            try:
+                theta = float(spla.eigsh(
+                    -op.csr(dA), k=1, M=A_csr, Minv=minv, which="LA", tol=1e-3,
+                    maxiter=LANCZOS_RESTARTS, v0=np.ones(A_csr.shape[0]),
+                    return_eigenvectors=False)[0])
+            except spla.ArpackNoConvergence:
+                theta = 0.0  # no proposal: the cap, halved
             # freed before the next factorizations: factors alive across them
             # fragmented the heap, raising the tables' peak RSS by about 12 MB
-            del lu, minv
+            del lu, minv, A_csr
             t = cap - a if theta <= 0.0 else min(0.999 / theta, cap - a)
-            while a + t > a and positive_definite_factor(A + t * dA) is None:
+            while a + t > a and op.positive_definite(A + t * dA) is None:
                 t *= 0.5
             if not a + t > a:  # theta NaN, or t below the resolution of a
                 raise ArithmeticError(f"no step advances gamma_tilde = {sign * a!r} "
@@ -227,9 +279,9 @@ def _certified_limit(op: _StabilityOperator, sign: float, trace: list) -> float:
         trace.append(CertifiedStep(sign * a, sign * min(a + t, cap)))
         a, last = min(a + t, cap), t
         end = sign * min(a + tol, cap)
-        if (t <= tol and a < cap
-                and positive_definite_factor(A_end := op.matrix(end)) is None):
-            lam = smallest_eigenvalue(A_end)
+        if (t <= tol and a < cap and op.positive_definite(
+                op.K0 + abs(end) * Kd + end * end * K2) is None):
+            lam = smallest_eigenvalue(op.matrix(end))
             trace.append(Crossing(end, lam))
             if not lam < 0.0:
                 raise ArithmeticError(f"not positive definite at gamma_tilde = {end:g}"
@@ -306,17 +358,18 @@ def compute_errors(space: MixedSpace, w_h, p_h, exact_pressure):
     """L2 pressure error and H1 displacement error of the manufactured
     problem, whose exact displacement is zero.
 
-    exact_pressure (x, y) -> (...,) must be vectorized; the pressure error
-    is integrated element by element with the high-degree rule of the load
-    vectors.  The displacement error is sqrt(w^T K_V w) with the H1 Gram
-    matrix K_V, which integrates the discrete field exactly.
+    exact_pressure (x, y) -> (...,) must be vectorized; the pressure error is
+    integrated with the high-degree rule of the load vectors, one point at a
+    time as in assemble_load.  The displacement error is sqrt(w^T K_V w) with
+    the H1 Gram matrix K_V, which integrates the discrete field exactly.
     """
     rule, vals, _ = forms._reference_table(space, forms.LOAD_QUAD_DEGREE)
     p, det, _ = forms._element_geometry(space)
-    xy = rule.points @ p
-    ph = np.asarray(p_h)[space.mesh.triangles] @ vals[:3]
-    p_ex = np.asarray(exact_pressure(xy[..., 0], xy[..., 1]), dtype=float)
-    err_p2 = np.einsum("q,eq,e->", rule.weights, (p_ex - ph) ** 2, det)
+    ph, err_p2 = np.asarray(p_h)[space.mesh.triangles], 0.0
+    for point, wq, v in zip(rule.points, rule.weights, vals[:3].T):
+        xy = np.tensordot(point, p, axes=(0, 1))
+        err = np.subtract(exact_pressure(xy[:, 0], xy[:, 1]), ph @ v)
+        err_p2 += wq * (err ** 2 @ det)
     w = np.asarray(w_h, dtype=float)
     err_w2 = w @ (forms.assemble_h1_gram(space) @ w)
     return float(math.sqrt(max(err_p2, 0.0))), float(math.sqrt(max(err_w2, 0.0)))

@@ -7,9 +7,9 @@ and load cap are constants of analysis, and the study load factors and the
 mesh family are set here.  Only stability and convergence take mu, m1 and
 m2: they cannot change an inf-sup constant.  --m1 0 --m2 0 sets the weight
 M = m1*|gt| + m2*gt^2 to zero, the classical method, which the header
-notes.  Each command's table is a list of columns rendered by one csv, one
-json and one pretty renderer.  Output is byte-identical for identical run
-specifications.
+names; it says "halving h" only when each n - 1 doubles.  Each command's
+table is a list of columns rendered by one csv, one json and one pretty
+renderer.  Output is byte-identical for identical run specifications.
 """
 
 from __future__ import annotations
@@ -187,19 +187,19 @@ def run(spec: RunSpec):
 
 
 def _provenance_lines(spec: RunSpec, table: Table):
-    cfg = spec.config
-    lines = [
-        f"# model defaults: mu={cfg.mu:g} m1={cfg.m1:g} m2={cfg.m2:g} "
-        f"(reference stabilized setup for problem {cfg.problem}"
-        + ("; classical M=0 requested" if cfg.m1 == cfg.m2 == 0 else "") + ")",
-    ]
+    cfg, meshes = spec.config, spec.meshes
+    method = "classical method M=0" if cfg.m1 == cfg.m2 == 0 else \
+        "reference stabilized setup"
+    lines = [f"# model defaults: mu={cfg.mu:g} m1={cfg.m1:g} m2={cfg.m2:g} "
+             f"({method} for problem {cfg.problem})"]
     settings = table.settings(cfg)
     if settings:
         values = " ".join(f"{key}={value:g}" for key, value in settings.items())
         lines.append(f"# {table.label} defaults: {values} ({table.note})")
-    lines.append(
-        f"# mesh family: {','.join(str(n) for n in spec.meshes)} "
-        "(nodes per side, halving h)")
+    halving = len(meshes) > 1 and all(
+        b - 1 == 2 * (a - 1) for a, b in zip(meshes, meshes[1:]))
+    lines.append(f"# mesh family: {','.join(str(n) for n in meshes)} "
+                 f"(nodes per side{', halving h' if halving else ''})")
     return lines
 
 

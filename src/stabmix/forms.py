@@ -151,16 +151,20 @@ def assemble_load(space: MixedSpace, f, scale: float = 1.0,
     """Load vector with entries scale * int f . phi_i.
 
     f(x, y) must be vectorized and return shape (..., 2).  The rule is of
-    degree LOAD_QUAD_DEGREE because the model loads are not polynomial.
+    degree LOAD_QUAD_DEGREE because the model loads are not polynomial; f is
+    evaluated one point at a time (all at once: 14.9 MB at 65x65).
     """
     rule, vals, _ = _reference_table(space, LOAD_QUAD_DEGREE)
     p, det, _ = _element_geometry(space)
-    xy = rule.points @ p
-    fv = np.asarray(f(xy[..., 0], xy[..., 1]), dtype=float)
-    if fv.shape != xy.shape:
-        raise ValueError(f"load field returned shape {fv.shape}, expected {xy.shape}")
-    local = ((vals * rule.weights) @ fv) * det[:, None, None]
-
+    corners, local = p.transpose(1, 0, 2).copy(), np.zeros((len(vals), 2 * len(p)))
+    for point, w, v in zip(rule.points, rule.weights, vals.T):  # local[a, (e, c)]
+        xy = np.tensordot(point, corners, axes=1)
+        fv = np.asarray(f(xy[:, 0], xy[:, 1]), dtype=float)
+        if fv.shape != xy.shape:
+            raise ValueError(f"load field returned shape {fv.shape}, "
+                             f"expected {xy.shape}")
+        local += np.outer(w * v, fv)
+    local = (local.reshape(len(vals), -1, 2) * det[:, None]).transpose(1, 0, 2)
     dofs, n = space.numbering(reduced)
     return np.bincount(dofs.ravel(), weights=local.ravel(), minlength=n + 1)[:n] * scale
 

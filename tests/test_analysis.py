@@ -134,10 +134,136 @@ def test_limits_match_dense_oracle(n, problem, weights):
     for ray in rays:
         sign, a = math.copysign(1.0, ray.hi), abs(ray.lo)
         Kd, K2 = op.parts(sign)
-        dA = Kd + 2.0 * a * K2
-        assert sla.eigh(dA.toarray(), op.K0.toarray(), eigvals_only=True)[0] > 0.0
+        dA = op.csr(Kd + 2.0 * a * K2)
+        assert sla.eigh(dA.toarray(), op.csr(op.K0).toarray(),
+                        eigvals_only=True)[0] > 0.0
     if problem == 1 and not weights:  # unbounded below, by a ray proof
         assert rays and rays[-1].hi == -math.inf
+
+
+def _block(op, gt):
+    """Data of A(gt), summed as the search sums it."""
+    Kd, K2 = op.parts(math.copysign(1.0, gt))
+    return op.K0 + abs(gt) * Kd + gt * gt * K2
+
+
+def _pd_pairs(op, trace):
+    """Block data the search tests, named: A(s) near each step end and each
+    crossing (within 1e-3), the tangents of the steps, stretched ones that
+    may fail, and A'(a) at each step start."""
+    eps = (0.0, 1e-6, 1e-4, 1e-3, -1e-3, -1e-4, -1e-6)
+    for e in trace:
+        if isinstance(e, Crossing):
+            sign, g = math.copysign(1.0, e.load), abs(e.load) - analysis.BISECT_TOL
+            for d in eps + (analysis.BISECT_TOL,):
+                yield f"A({sign * (g + d)!r})", _block(op, sign * (g + d))
+            continue
+        sign, lo = math.copysign(1.0, e.hi), abs(e.lo)
+        Kd, K2 = op.parts(sign)
+        dA = Kd + 2.0 * lo * K2
+        yield f"A'({e.lo!r})", dA
+        if math.isinf(e.hi):
+            continue
+        t = abs(e.hi) - lo
+        for f in (1.0, 1.01, 2.0):
+            yield f"tangent {e.lo!r} + {f}*{t!r}", _block(op, e.lo) + f * t * dA
+        for d in eps:
+            yield f"A({e.hi * (1.0 + d)!r})", _block(op, e.hi * (1.0 + d))
+
+
+@pytest.mark.parametrize("weights", [{}, {"m1": 0.0, "m2": 0.0}],
+                         ids=["stabilized", "classical"])
+@pytest.mark.parametrize("problem", [1, 2])
+@pytest.mark.parametrize("n", [5, 9, 17])
+def test_condensed_verdicts_match_full(n, problem, weights):
+    # A > 0 iff every bubble block and the vertex Schur complement are
+    # (Haynsworth): the condensed test agrees with one LDL^T of the whole
+    # block on every kind of matrix the search tests, crossings included
+    cfg = ProblemConfig(problem=problem, n=n, **weights)
+    op = _StabilityOperator(cfg)
+    trace = [e for e in find_stability_limits(cfg).trace
+             if isinstance(e, Crossing) or abs(e.lo) < 1e3]
+    seen = set()
+    for name, data in _pd_pairs(op, trace):
+        full = positive_definite_factor(op.csr(data)) is not None
+        assert (op.positive_definite(data) is not None) == full, name
+        seen.add(full)
+    # loads on both sides of every crossing (5x5 problem 1 has none)
+    assert seen == {True, False} or not any(isinstance(e, Crossing) for e in trace)
+
+
+def test_condensed_test_rejects_bubble_block_unfactored(monkeypatch):
+    op = _StabilityOperator(ProblemConfig(problem=1, n=5))
+    data = _block(op, 1.0)
+    assert op.positive_definite(data) is not None
+    bubble_blocks = op._condensation[0]
+    data[bubble_blocks[7, 1, 1]] = -1.0  # b11 < 0, so det < 0
+    monkeypatch.setattr(analysis, "positive_definite_factor",
+                        lambda A: pytest.fail("factored a block with a bad B_e"))
+    assert op.positive_definite(data) is None
+    data[bubble_blocks[7, 0, 0]] = -1.0  # b00 < 0
+    assert op.positive_definite(data) is None
+
+
+def _trace_of(cfg, sign):
+    trace = []
+    return analysis._certified_limit(_StabilityOperator(cfg), sign, trace), trace
+
+
+@pytest.mark.parametrize("n", [5, 9, 17])
+def test_lanczos_budget_keeps_finite_directions(monkeypatch, n):
+    # the restart budget bounds only the proposal: directions whose Lanczos
+    # solves converge within it take bit-identical steps and crossings
+    cases = [(ProblemConfig(problem=p, n=n, **w), sign)
+             for p in (1, 2) for w in ({}, {"m1": 0.0, "m2": 0.0})
+             for sign in (1.0, -1.0)]
+    cases = [(c, s) for c, s in cases if not (c.problem == 2 and c.m2 and s < 0)]
+    budgeted = [_trace_of(cfg, sign) for cfg, sign in cases]
+    monkeypatch.setattr(analysis, "LANCZOS_RESTARTS", 10 ** 6)
+    assert budgeted == [_trace_of(cfg, sign) for cfg, sign in cases]
+    assert sum(math.isfinite(limit) for limit, _ in budgeted) >= 5
+
+
+def test_lanczos_budget_proposes_the_cap(monkeypatch):
+    # 17x17 problem 2's unbounded direction needs more restarts than the
+    # budget: the proposal is the cap, halved until the tangent test passes
+    real, outcomes = spla.eigsh, []
+
+    def recorded(*args, **kwargs):
+        try:
+            outcomes.append(real(*args, **kwargs))
+        except spla.ArpackNoConvergence:
+            outcomes.append(None)
+            raise
+        return outcomes[-1]
+
+    monkeypatch.setattr(analysis.spla, "eigsh", recorded)
+    limit, trace = _trace_of(ProblemConfig(problem=2, n=17), -1.0)
+    assert limit == -math.inf and outcomes == [None]
+    first = -trace[0].hi / analysis.GAMMA_CAP
+    assert first == 2.0 ** round(math.log2(first)) < 1.0
+    assert trace[-1].hi == -analysis.GAMMA_CAP
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sign,limit", [(1.0, 6.7367), (-1.0, -307.21)])
+def test_critical_loads_65_problem1(sign, limit):
+    # gamma_m is finite at 65x65 (the ray test fails there), and its first
+    # Lanczos proposal exceeds the restart budget: the cap, halved, steps first
+    got, trace = _trace_of(ProblemConfig(problem=1, n=65), sign)
+    assert got == pytest.approx(limit, abs=analysis.BISECT_TOL)
+    assert isinstance(trace[-1], Crossing) and trace[-1].lam < 0.0
+    if sign < 0:
+        first = -trace[0].hi / analysis.GAMMA_CAP
+        assert first == 2.0 ** round(math.log2(first))
+
+
+def test_verdicts_build_no_condensation(monkeypatch):
+    # the slot maps are built by the first condensed test of a search only
+    monkeypatch.setattr(_StabilityOperator, "_condensation",
+                        property(lambda op: pytest.fail("built the slot maps")))
+    assert is_stable(ProblemConfig(problem=2, n=9, gamma_tilde=3.0))[1]
+    run_convergence(ProblemConfig(problem=1, gamma_tilde=2.0), [5, 9])
 
 
 def test_stable_set_is_not_an_interval():
@@ -519,5 +645,5 @@ def test_operator_matrix_affine_pieces():
         fd = (4.0 * op.matrix(sign * (s + 1.0)) - 3.0 * op.matrix(sign * s)
               - op.matrix(sign * (s + 2.0))) / 2.0
         Kd, K2 = op.parts(sign)
-        dA = Kd + 2.0 * s * K2
+        dA = op.csr(Kd + 2.0 * s * K2)
         assert abs(fd - dA).max() <= 1e-8 * abs(dA).max()

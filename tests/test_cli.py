@@ -128,17 +128,30 @@ def test_emit_provenance_header_names_defaults():
 
 
 def test_emit_header_notes_classical_weights():
-    # M = 0 is noted in the header, whichever command sets it
+    # M = 0 is named in the header, whichever command sets it
     empty = {"stability": [],
              "convergence": ConvergenceTable(problem=1, gamma_tilde=7.125, rows=())}
     for command, report in empty.items():
         spec = parse_args([command, "--m1", "0", "--m2", "0", "--nodes", "5"])
         header = emit(report, spec).splitlines()[0]
-        assert header == ("# model defaults: mu=40 m1=0 m2=0 (reference stabilized "
-                          "setup for problem 1; classical M=0 requested)")
+        assert header == ("# model defaults: mu=40 m1=0 m2=0 "
+                          "(classical method M=0 for problem 1)")
     # m2 = 0 alone keeps the weight m1*|gt|, and infsup takes no weights
     for argv in (["stability", "--m2", "0"], ["infsup"]):
         assert "classical" not in emit([], parse_args(argv))
+
+
+@pytest.mark.parametrize("nodes,note", [
+    ("5,9,17,33", "(nodes per side, halving h)"),
+    ("5,9", "(nodes per side, halving h)"),
+    ("5,17,33", "(nodes per side)"), ("5,5", "(nodes per side)"),
+    ("9,5", "(nodes per side)"), ("5", "(nodes per side)")])
+def test_emit_header_says_halving_only_when_h_halves(nodes, note):
+    empty = {"stability": [], "infsup": [],
+             "convergence": ConvergenceTable(problem=1, gamma_tilde=7.125, rows=())}
+    for command, report in empty.items():
+        lines = emit(report, parse_args([command, "--nodes", nodes])).splitlines()
+        assert f"# mesh family: {nodes} {note}" in lines
 
 
 def test_emit_empty_convergence_header_only():
