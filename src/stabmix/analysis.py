@@ -15,10 +15,11 @@ eigenvalue problem", SIAM Rev. 43, 2001).  The critical loads are found by
 tangent steps outward from gt = 0.  One LDL^T positive-definiteness test of
 the tangent A(a) + (b - a)*A'(a) proves A > 0 on [a, b], as a linear pencil
 positive definite at both ends is so between them; with A(a) > 0, one of
-A'(a) proves A > 0 on the whole ray [a, inf).  Each such test condenses the
-MINI bubbles out, element by element: A > 0 iff every 2x2 bubble block and the
-vertex Schur complement, a third of the size, are (Haynsworth's inertia
-additivity, Linear Algebra Appl. 1, 1968).  Eigen-solves and grown steps only
+A'(a) proves A > 0 on the whole ray [a, inf).  Each such test, and each
+lambda_min of a verdict, factors A - sigma*I with the MINI bubbles condensed
+out element by element: its inertia is the 2x2 bubble blocks' plus the vertex
+Schur complement's, a third of the size (Haynsworth's inertia additivity,
+Linear Algebra Appl. 1, 1968).  Eigen-solves and grown steps only
 propose step lengths, so their tolerances cannot make a verdict wrong; a
 Lanczos proposal that needs more than LANCZOS_RESTARTS restarts is the cap.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
@@ -36,8 +38,8 @@ import scipy.sparse.linalg as spla
 
 from . import forms
 from .mesh import build_structured_mesh
-from .solvers import (SaddleSystem, ldlt_factor, positive_definite_factor,
-                      smallest_eigenvalue, solve_saddle)
+from .solvers import (SaddleSystem, factor_with_inertia, ldlt_factor,
+                      positive_definite_factor, smallest_eigenvalue, solve_saddle)
 from .spaces import MixedSpace
 
 # inf-sup eigenvalues below KERNEL_RTOL * INFSUP_BOUND are kernel modes; none
@@ -179,6 +181,11 @@ class _StabilityOperator:
         return sp.csr_matrix((data, self.plan.indices, self.plan.indptr),
                              shape=self.plan.shape)
 
+    def data(self, gamma_tilde: float):
+        """Data of the block at gamma_tilde, as matrix sums it."""
+        (Kd, K2), s = self.parts(math.copysign(1.0, gamma_tilde)), abs(gamma_tilde)
+        return self.K0 + s * Kd + s * s * K2
+
     def matrix(self, gamma_tilde: float) -> sp.csr_matrix:
         """The block, summed as sparse matrices, which prunes its exact zeros;
         pruning the summed data instead raised the refine peak RSS by 5 MB."""
@@ -190,7 +197,8 @@ class _StabilityOperator:
     def _condensation(self):
         """Slots of B_e, C_e and C_e^T B_e^-1 C_e, and the slots and pattern of the
         block of the free vertex dofs, numbered first; a fixed vertex takes data
-        slot nnz, read as zero, and block slot nvv."""
+        slot nnz, read as zero, and block slot nvv.  Then the dofs of the columns
+        of C_e, nvf for a fixed vertex, and the data of the identity."""
         plan, nt = self.plan, self.space.mesh.n_triangles
         nvf = int(np.searchsorted(self.space.free_dofs, 2 * self.space.mesh.n_nodes))
         pos = plan.pos.reshape(nt, 4, 4, 2, 2)  # [e, a, b, c, d], bubble a = 3
@@ -198,25 +206,63 @@ class _StabilityOperator:
         to_vv = np.full(len(plan.indices) + 1, len(vv))
         to_vv[vv] = np.arange(len(vv))
         upd = to_vv[pos[:, :3, :3].transpose(0, 1, 3, 2, 4).reshape(nt, 6, 6)]
+        rows = np.repeat(np.arange(plan.shape[0]), np.diff(plan.indptr))
         return (pos[:, 3, 3], pos[:, 3, :3].transpose(0, 2, 1, 3).reshape(nt, 2, 6),
-                upd, vv, plan.indices[vv], np.searchsorted(vv, plan.indptr[:nvf + 1]))
+                upd, vv, plan.indices[vv], np.searchsorted(vv, plan.indptr[:nvf + 1]),
+                np.minimum(self.space.numbering(True)[0][:, :6], nvf),
+                1.0 * (plan.indices == rows))
 
-    def positive_definite(self, data):
-        """positive_definite_factor of the vertex Schur complement A_vv - sum_e
-        C_e^T B_e^-1 C_e of block data, or None: A > 0 iff it and every bubble
-        block B_e are.  A B_e that is not positive definite returns None unfactored."""
-        bb, bv, upd, vv, indices, indptr = self._condensation
+    def _condense(self, data):
+        """(B_e^-1, C_e, B_e^-1 C_e, the vertex Schur complement A_vv - sum_e
+        C_e^T B_e^-1 C_e, the B_e's count of negative eigenvalues) of block
+        data, or None when a B_e is singular."""
+        bb, bv, upd, vv, indices, indptr = self._condensation[:6]
         ext = np.append(data, 0.0)
         B, C = ext[bb], ext[bv]
         det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
-        if not (np.all(B[:, 0, 0] > 0.0) and np.all(det > 0.0)):
+        if not np.all((det < 0.0) | (det > 0.0)):  # a zero or NaN determinant
             return None
+        # a 2x2 block has one negative eigenvalue if det < 0, two if also b00 < 0
+        below = int(np.sum(det < 0.0) + 2 * np.sum((det > 0.0) & (B[:, 0, 0] < 0.0)))
         Binv = np.stack([B[:, 1, 1], -B[:, 0, 1], -B[:, 1, 0], B[:, 0, 0]], axis=-1)
-        U = C.transpose(0, 2, 1) @ ((Binv / det[:, None]).reshape(-1, 2, 2) @ C)
+        Binv = (Binv / det[:, None]).reshape(-1, 2, 2)
+        U = C.transpose(0, 2, 1) @ (G := Binv @ C)
         schur = data[vv] - np.bincount(upd.ravel(), weights=U.ravel(),
                                        minlength=len(vv) + 1)[:len(vv)]
-        return positive_definite_factor(
-            sp.csr_matrix((schur, indices, indptr), shape=(len(indptr) - 1,) * 2))
+        return Binv, C, G, sp.csr_matrix((schur, indices, indptr),
+                                         shape=(len(indptr) - 1,) * 2), below
+
+    def positive_definite(self, data):
+        """positive_definite_factor of the vertex Schur complement of block data,
+        or None: A > 0 iff it and every B_e are.  A B_e not so returns None unfactored."""
+        parts = self._condense(data)
+        return None if parts is None or parts[4] else positive_definite_factor(parts[3])
+
+    def factor(self, data):
+        """Bubble-condensed LDL^T of block data and its count of non-positive
+        eigenvalues, the B_e's plus the Schur complement's pivots (Haynsworth), or
+        None if it proves nothing, as a singular B_e does.  Its solve eliminates the
+        bubbles element by element, solves the vertex system and substitutes back."""
+        if (parts := self._condense(data)) is None:
+            return None, None
+        (Binv, C, G, schur, below), vcols = parts, self._condensation[6]
+        lu, nonpositive = factor_with_inertia(schur)
+        nvf = schur.shape[0]
+
+        def solve(x):  # bubble dofs follow the nvf vertex dofs, two per element
+            y = np.einsum("eij,ej->ei", Binv, x[nvf:].reshape(-1, 2))  # B_e^-1 x_b
+            z = np.append(x[:nvf], 0.0) - np.bincount(  # x_v - sum_e C_e^T y_e
+                vcols.ravel(), np.einsum("ei,eij->ej", y, C).ravel(), nvf + 1)
+            z[:nvf], z[nvf] = lu.solve(z[:nvf]), 0.0  # slot nvf: fixed vertices
+            return np.append(z[:nvf], y - np.einsum("eij,ej->ei", G, z[vcols]))
+
+        return (types.SimpleNamespace(solve=solve),
+                None if nonpositive is None else below + nonpositive)
+
+    def lambda_min(self, gamma_tilde: float) -> float:
+        """smallest_eigenvalue of the block on its bubble-condensed factorizations."""
+        data, eye = self.data(gamma_tilde), self._condensation[7]
+        return smallest_eigenvalue(self.csr(data), lambda s: self.factor(data - s * eye))
 
 
 def is_stable(cfg: ProblemConfig):
@@ -224,7 +270,7 @@ def is_stable(cfg: ProblemConfig):
 
     Returns (lambda_min, verdict) with verdict True iff lambda_min > 0.
     """
-    lam = smallest_eigenvalue(_StabilityOperator(cfg).matrix(cfg.gamma_tilde))
+    lam = _StabilityOperator(cfg).lambda_min(cfg.gamma_tilde)
     return lam, lam > 0.0
 
 
@@ -279,9 +325,8 @@ def _certified_limit(op: _StabilityOperator, sign: float, trace: list) -> float:
         trace.append(CertifiedStep(sign * a, sign * min(a + t, cap)))
         a, last = min(a + t, cap), t
         end = sign * min(a + tol, cap)
-        if (t <= tol and a < cap and op.positive_definite(
-                op.K0 + abs(end) * Kd + end * end * K2) is None):
-            lam = smallest_eigenvalue(op.matrix(end))
+        if t <= tol and a < cap and op.positive_definite(op.data(end)) is None:
+            lam = op.lambda_min(end)
             trace.append(Crossing(end, lam))
             if not lam < 0.0:
                 raise ArithmeticError(f"not positive definite at gamma_tilde = {end:g}"
@@ -396,9 +441,9 @@ def run_convergence(cfg: ProblemConfig, meshes) -> ConvergenceTable:
     for n in meshes:
         c = replace(cfg, n=n)
         op = _StabilityOperator(c)
+        lam = op.lambda_min(c.gamma_tilde)
         space, A = op.space, op.matrix(c.gamma_tilde)
         del op  # its assembled parts would stay alive through the saddle solve
-        lam = smallest_eigenvalue(A)
         if lam <= 0.0:
             raise ValueError(
                 f"stabilized block is not positive definite on the {n}x{n} "

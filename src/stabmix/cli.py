@@ -188,8 +188,10 @@ def run(spec: RunSpec):
 
 def _provenance_lines(spec: RunSpec, table: Table):
     cfg, meshes = spec.config, spec.meshes
-    method = "classical method M=0" if cfg.m1 == cfg.m2 == 0 else \
-        "reference stabilized setup"
+    ref = ProblemConfig(problem=cfg.problem)
+    method = ("classical method M=0" if cfg.m1 == cfg.m2 == 0 else
+              "reference stabilized setup" if (cfg.mu, cfg.m1, cfg.m2) ==
+              (ref.mu, ref.m1, ref.m2) else "given weights, not the reference setup")
     lines = [f"# model defaults: mu={cfg.mu:g} m1={cfg.m1:g} m2={cfg.m2:g} "
              f"({method} for problem {cfg.problem})"]
     settings = table.settings(cfg)

@@ -5,7 +5,9 @@ fill-reducing order with diagonal pivots preferred.  ``smallest_eigenvalue``
 takes the first shift sigma with at most one negative LDL^T pivot of
 A - sigma*I, so at most one eigenvalue below it (sigma = 0 first, then
 geometric steps down to the Gershgorin bound), and runs shift-invert
-Lanczos about it from a fixed start vector, so results are deterministic.
+Lanczos about it, on NCV vectors at sigma = 0, from a fixed start vector, so
+results are deterministic.  The stability block passes its factorization with
+the MINI bubbles condensed out, a third of the size, in place of this LDL^T.
 On the 33x33 convergence saddles the order keeps 0.41M nonzeros in L + U
 where SuperLU's default COLAMD order kept 1.3-1.4M, and factor plus solve
 takes 0.03 s instead of 0.11 s (0.18 s instead of 1.0 s at 65x65, 2 vCPUs).
@@ -22,6 +24,10 @@ import scipy.sparse.linalg as spla
 # relative tolerances: asymmetry taken as roundoff, accepted saddle residual
 SYMMETRY_RTOL = 1e-10
 RESIDUAL_RTOL = 1e-10
+# Lanczos basis at sigma = 0, at most n: 33x33 verdicts (five bands, two reference
+# loads) took 7-19 solves with 6 vectors, 21 with ARPACK's default 20.  A shift below
+# 0 can sit far under an eigenvalue cluster: 9x9 classical gt = 2 took 11047 with 6
+NCV = 6
 
 
 class NonSymmetricMatrixError(ValueError):
@@ -59,7 +65,7 @@ def ldlt_factor(A):
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
-def _factor_with_inertia(A):
+def factor_with_inertia(A):
     """ldlt_factor of symmetric A and its count of non-positive pivots, which
     is the number of non-positive eigenvalues of A (Sylvester's law of
     inertia).  The count is None when the factorization proves nothing: A
@@ -77,13 +83,13 @@ def positive_definite_factor(A):
     """Sparse LDL^T factorization of symmetric A if it proves A positive
     definite, else None: positive pivots prove positive definiteness, and
     a factorization that proves nothing counts as not positive definite."""
-    lu, nonpositive = _factor_with_inertia(A)
+    lu, nonpositive = factor_with_inertia(A)
     return lu if nonpositive == 0 else None
 
 
-def _shift_below_spectrum(A):
-    """Shift sigma <= 0 with at most one eigenvalue of A below it, the sparse
-    LU of A - sigma*I and the count (0 or 1) of those eigenvalues.
+def _shift_below_spectrum(A, shifted):
+    """Shift sigma <= 0 with at most one eigenvalue of A below it, the
+    factorization shifted(sigma) and the count (0 or 1) of those eigenvalues.
 
     Below the Gershgorin lower bound A - sigma*I is strictly diagonally
     dominant with a positive diagonal, so the search ends there at the
@@ -94,10 +100,9 @@ def _shift_below_spectrum(A):
     gershgorin = float(np.min(diag + np.abs(diag) - row_abs))
     # negative shifts start at 1e-8 of the infinity norm and grow tenfold
     step = 1e-8 * (float(row_abs.max()) or 1.0)
-    eye = sp.identity(A.shape[0], format="csc")
     sigma = 0.0
     while True:
-        lu, below = _factor_with_inertia(A - sigma * eye)
+        lu, below = shifted(sigma)
         if below is not None and below <= 1:
             return sigma, lu, below
         if sigma < gershgorin:
@@ -109,23 +114,27 @@ def _shift_below_spectrum(A):
         step *= 10.0
 
 
-def smallest_eigenvalue(S) -> float:
+def smallest_eigenvalue(S, shifted=None) -> float:
     """Smallest algebraic eigenvalue of a symmetric matrix.
 
     Raises NonSymmetricMatrixError when the input violates the symmetry
     tolerance (SYMMETRY_RTOL relative), and ValueError on non-finite entries;
-    otherwise the symmetrized matrix is used.
+    otherwise the symmetrized matrix is used.  A given shifted(sigma) returns
+    A - sigma*I factored as factor_with_inertia does; S is then taken as is.
     """
-    A = _as_symmetric(S, "eigenvalue input")
+    A = _as_symmetric(S, "eigenvalue input") if shifted is None else S
+    shifted = shifted or (lambda sigma: factor_with_inertia(
+        A - sigma * sp.identity(A.shape[0], format="csc")))
     n = A.shape[0]
     if n == 1:
         return float(A[0, 0])
-    sigma, lu, below = _shift_below_spectrum(A)
+    sigma, lu, below = _shift_below_spectrum(A, shifted)
     opinv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
     # nu = 1/(lambda - sigma): with no eigenvalue below sigma lambda_min has the
     # largest |nu|, with one it has the only negative nu
     vals = spla.eigsh(A, k=1, sigma=sigma, which="SA" if below else "LM",
-                      OPinv=opinv, v0=np.ones(n), return_eigenvectors=False)
+                      OPinv=opinv, v0=np.ones(n), return_eigenvectors=False,
+                      ncv=min(NCV, n) if sigma == 0.0 else None)
     return float(vals[0])
 
 

@@ -139,6 +139,14 @@ def test_emit_header_notes_classical_weights():
     # m2 = 0 alone keeps the weight m1*|gt|, and infsup takes no weights
     for argv in (["stability", "--m2", "0"], ["infsup"]):
         assert "classical" not in emit([], parse_args(argv))
+    # only the problem's own (mu, m1, m2) are its reference setup
+    for argv, header in (
+            (["stability", "--m1", "80"], "mu=40 m1=80 m2=0 (given weights"),
+            (["stability", "--mu", "10", "--m2", "0.5"], "mu=10 m1=320 m2=0.5 (given"),
+            (["stability", "--m2", "0"], "mu=40 m1=320 m2=0 (reference"),
+            (["stability", "--problem", "2", "--m2", "0"], "mu=40 m1=320 m2=0 (given"),
+            (["infsup", "--problem", "2"], "mu=40 m1=320 m2=1.36 (reference")):
+        assert emit([], parse_args(argv)).startswith(f"# model defaults: {header}")
 
 
 @pytest.mark.parametrize("nodes,note", [

@@ -100,15 +100,35 @@ def test_all_negative_spectrum():
     (1, 9, 14.6, False, 1), (1, 9, 14.7, False, -1),   # gamma_M = 14.68
     (1, 9, 2.0, True, -1),                              # classical, past ~1.5
     (2, 17, 3.3, False, 1), (2, 17, 3.4, False, -1),   # gamma_M = 3.37
+    (1, 5, 7.0, False, 1), (1, 5, 2.0, True, -1),      # 5x5 gamma_M = +inf
+    (2, 5, 7.2, False, 1), (2, 5, 7.3, False, -1),     # gamma_M = 7.22
+    (2, 9, 3.85, False, 1), (2, 9, 3.9, False, -1),    # gamma_M = 3.86
+    (2, 5, 2.0, True, -1),
+    (1, 5, 1.3, True, -1),  # four indefinite B_e, a positive definite Schur complement
 ])
 def test_assembled_blocks_across_critical_load(problem, n, gt, classical,
                                                expect_sign):
+    # the sparse path on the summed block and the bubble-condensed one on its
+    # data agree with LAPACK.  Past the classical limit some bubble blocks B_e
+    # are indefinite, and their inertia sends the shift search below zero
     weights = dict(m1=0.0, m2=0.0) if classical else {}
-    A = _StabilityOperator(ProblemConfig(problem=problem, n=n, **weights)).matrix(gt)
+    op = _StabilityOperator(ProblemConfig(problem=problem, n=n, **weights))
+    A, data = op.matrix(gt), op.data(gt)
     lam_dense = sla.eigvalsh(A.toarray())[0]
-    lam = smallest_eigenvalue(A)
-    assert np.sign(lam) == np.sign(lam_dense) == expect_sign
+    lam, lam_condensed = smallest_eigenvalue(A), op.lambda_min(gt)
+    assert np.sign(lam) == np.sign(lam_condensed) == np.sign(lam_dense) == expect_sign
     assert lam == pytest.approx(lam_dense, rel=1e-8)
+    assert lam_condensed == pytest.approx(lam_dense, rel=1e-8)
+    assert (op._condense(data)[-1] > 0) == (classical and expect_sign < 0)
+
+
+@pytest.mark.parametrize("A", [[[2.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 1.0]],
+                               [[-1.0, 0.5], [0.5, -2.0]],
+                               [[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]],
+                               [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, -5.0]]])
+def test_small_inputs_cap_the_basis(A):
+    # ARPACK needs a basis of at most n vectors: NCV falls to n = 2 and 3
+    assert smallest_eigenvalue(A) == pytest.approx(sla.eigvalsh(A)[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("problem,gt", [(1, 15.0), (2, 4.0)])  # 9x9 gamma_M 14.68, 3.86
@@ -119,7 +139,8 @@ def test_unstable_verdict_factors_once(monkeypatch, problem, gt):
     monkeypatch.setattr(solvers, "ldlt_factor", lambda A: calls.append(A) or real(A))
     cfg = ProblemConfig(problem=problem, n=9, gamma_tilde=gt)
     lam, stable = is_stable(cfg)
-    assert not stable and len(calls) == 1
+    # of the vertex Schur complement, the MINI bubbles condensed out
+    assert not stable and [A.shape for A in calls] == [({1: 112, 2: 135}[problem],) * 2]
     lam_dense = sla.eigvalsh(_StabilityOperator(cfg).matrix(gt).toarray())
     assert lam_dense[0] < 0.0 < lam_dense[1]
     assert lam == pytest.approx(lam_dense[0], rel=1e-10)
