@@ -19,9 +19,10 @@ A'(a) proves A > 0 on the whole ray [a, inf).  Each such test, and each
 lambda_min of a verdict, factors A - sigma*I with the MINI bubbles condensed
 out element by element: its inertia is the 2x2 bubble blocks' plus the vertex
 Schur complement's, a third of the size (Haynsworth's inertia additivity,
-Linear Algebra Appl. 1, 1968).  Eigen-solves and grown steps only
-propose step lengths, so their tolerances cannot make a verdict wrong; a
-Lanczos proposal that needs more than LANCZOS_RESTARTS restarts is the cap.
+Linear Algebra Appl. 1, 1968).  Eigen-solves only propose step lengths, so
+their tolerances cannot make a verdict wrong; a Lanczos proposal that needs
+more than LANCZOS_RESTARTS restarts is the cap.  With m2 > 0 a certificate on
+ker S, where A(s)/s^2 -> m2*S is singular, closes the tail up to GAMMA_CAP.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ INFSUP_SHIFT = -1e-5  # Lanczos shift below the spectrum [0, 2], near its bottom
 # BISECT_TOL <= 1e-11 the search was measured to stop with "not positive definite",
 # and at <= 1e-12 to differ between processes: re-measure before lowering it
 BISECT_TOL, GAMMA_CAP = 0.01, 1e6
-GROW = 1.3  # LDL^T tests, problem 2 negative, 9-33 nodes: 163 (1.1: 201, 2.0: 259)
 LANCZOS_RESTARTS = 10  # ARPACK restarts of a step proposal; finite crossings took <= 5
 
 
@@ -94,7 +94,8 @@ class ProblemConfig:
 
 
 # StabilityReport.trace entries, in signed loads: a step proved positive definite
-# (hi = +-inf: a ray proof), and the confirming eigenvalue past a finite crossing
+# (hi = +-inf: a ray proof; a kernel certificate's step ends at +-GAMMA_CAP), and
+# the confirming eigenvalue past a finite crossing
 CertifiedStep = namedtuple("CertifiedStep", "lo hi")
 Crossing = namedtuple("Crossing", "load lam")
 
@@ -241,28 +242,99 @@ class _StabilityOperator:
     def factor(self, data):
         """Bubble-condensed LDL^T of block data and its count of non-positive
         eigenvalues, the B_e's plus the Schur complement's pivots (Haynsworth), or
-        None if it proves nothing, as a singular B_e does.  Its solve eliminates the
-        bubbles element by element, solves the vertex system and substitutes back."""
+        None if it proves nothing, as a singular B_e does.  Its solve, of a vector or a
+        block, eliminates the bubbles element by element, solves the vertex system and
+        substitutes back."""
         if (parts := self._condense(data)) is None:
             return None, None
         (Binv, C, G, schur, below), vcols = parts, self._condensation[6]
         lu, nonpositive = factor_with_inertia(schur)
         nvf = schur.shape[0]
 
-        def solve(x):  # bubble dofs follow the nvf vertex dofs, two per element
-            y = np.einsum("eij,ej->ei", Binv, x[nvf:].reshape(-1, 2))  # B_e^-1 x_b
-            z = np.append(x[:nvf], 0.0) - np.bincount(  # x_v - sum_e C_e^T y_e
-                vcols.ravel(), np.einsum("ei,eij->ej", y, C).ravel(), nvf + 1)
+        def solve(x):  # x is (n,) or (n, m); two bubble dofs per element follow nvf
+            m = x.shape[1:]  # matmul on blocks; a vector keeps the einsum's last bits
+            dot = np.matmul if m else (lambda A, b: np.einsum("eij,ej->ei", A, b))
+            y = dot(Binv, x[nvf:].reshape(-1, 2, *m))  # B_e^-1 x_b
+            w = dot(C.transpose(0, 2, 1), y).reshape(*vcols.shape, -1)  # C_e^T y_e
+            cols = w.shape[2]  # x_v - sum_e C_e^T y_e, one bincount for all columns
+            z = np.concatenate([x[:nvf], np.zeros((1, *m))]) - np.bincount(
+                (vcols[..., None] * cols + np.arange(cols)).ravel(), w.ravel(),
+                (nvf + 1) * cols).reshape(nvf + 1, *m)
             z[:nvf], z[nvf] = lu.solve(z[:nvf]), 0.0  # slot nvf: fixed vertices
-            return np.append(z[:nvf], y - np.einsum("eij,ej->ei", G, z[vcols]))
+            return np.concatenate([z[:nvf], (y - dot(G, z[vcols])).reshape(-1, *m)])
 
         return (types.SimpleNamespace(solve=solve),
                 None if nonpositive is None else below + nonpositive)
 
-    def lambda_min(self, gamma_tilde: float) -> float:
-        """smallest_eigenvalue of the block on its bubble-condensed factorizations."""
+    def lambda_min(self, gamma_tilde: float, at_zero=None) -> float:
+        """smallest_eigenvalue of the block on its condensed factorizations; at_zero,
+        factor(data) taken already, serves the shift sigma = 0."""
         data, eye = self.data(gamma_tilde), self._condensation[7]
-        return smallest_eigenvalue(self.csr(data), lambda s: self.factor(data - s * eye))
+        return smallest_eigenvalue(self.csr(data), lambda s: at_zero if at_zero and s == 0
+                                   else self.factor(data - s * eye))
+
+    @functools.cached_property
+    def kernel(self):
+        """(Z, I), Z orthonormal on ker S by two block inverse iteration sweeps on S +
+        eps*I, eps = 1e-12*max|S|, and Rayleigh-Ritz (the block doubles until a Ritz value
+        is >= eps, and it must be >= 1e3*eps), I pivot rows of a QR of Z^T; or None."""
+        S, eps, b = self.csr(self.S), 1e-12 * np.abs(self.S).max(), 16
+        solve = self.factor(self.S + eps * self._condensation[7])[0].solve
+        while b < S.shape[0]:
+            Y = np.cos(np.outer(np.arange(1.0, S.shape[0] + 1), np.arange(1.0, b + 1)))
+            for _ in range(2):  # 8 columns at a time, for a small peak RSS
+                Y = np.hstack([solve(Y[:, j:j + 8]) for j in range(0, b, 8)])
+                Y = np.linalg.qr(Y)[0]
+            theta, V = np.linalg.eigh(Y.T @ (S @ Y))
+            if (k := int(np.searchsorted(theta, eps))) < b:
+                Z, I, L = Y @ V[:, :k], [], np.zeros((len(Y), k))
+                d = np.einsum("ij,ij->i", Z, Z)
+                for j in range(k):  # pivoted Cholesky of Z Z^T
+                    I.append(i := int(np.argmax(d)))
+                    L[:, j] = (Z @ Z[i] - L[:, :j] @ L[i, :j]) / math.sqrt(d[i])
+                    d -= L[:, j] ** 2
+                return (Z, np.array(I)) if k and theta[k] >= 1e3 * eps else None
+            b *= 2
+        return None
+
+    def kernel_certified(self, sign: float, a: float, below: int | None = 0) -> bool:
+        """Whether the kernel certificate (README, "Numerics") proves A > 0 on [a, cap]:
+        L(u) - diag(dz*I, dy*I) > 0 at u = 1/cap and 1/a.  Times t = 1/u, L's top block
+        is H0 + U Mc U^T, H0 = t*(K2_JJ - dz*I) + Kd_JJ with the rows I pinned; Woodbury
+        and Haynsworth count it on -Mc^-1 - U^T H0^-1 U, then C - dy*I - t X^T H^-1 X.
+        Given A'(a)'s count of non-positive eigenvalues, below, over k, no test runs:
+        A'(a/2) <= A'(a) stays indefinite on the codimension-k range of P (interlacing),
+        where it is a times L's top block at u = 1/a, up to roundoff."""
+        if self.kernel is None or (below or 0) > len(self.kernel[1]):
+            return False
+        (Z, I), (Kd, K2), eye = self.kernel, self.parts(sign), self._condensation[7]
+        norm = lambda M: math.sqrt(np.linalg.eigvalsh(M.T @ M)[-1])  # noqa: E731
+        K2Z, k, J = self.csr(K2) @ Z, len(I), np.ones(len(Z), bool)
+        N, M = norm(K2Z), max(0.0, -np.linalg.eigvalsh(Z.T @ K2Z)[0])  # Z^T K2 Z >= -M
+        U, J[I] = np.empty((len(Z), 2 * k)), False  # [V^T, (Kd Z)_J], built in place:
+        U[:, :k], U[:, k:] = self.csr(self.K0) @ Z, self.csr(Kd) @ Z  # a small peak RSS
+        C, F, Ik, U[I] = Z.T @ U[:, :k], Z.T @ U[:, k:], np.eye(k), 0.0
+        w, Q = np.linalg.eigh(C)  # dense work by eigh alone, for a small peak RSS
+        U[:, :k] = U[:, :k] @ (Q / w) @ Q.T
+        V = norm(U[:, :k])  # margins on z and y, README "Numerics"
+        dz = 4.0 * N * V + 2.0 * M * V * V
+        dy = GAMMA_CAP ** 2 * (N / (2.0 * V) + 2.0 * M) + GAMMA_CAP * norm(F)
+        keep = J[self.plan.indices] & np.repeat(J, np.diff(self.plan.indptr))
+        for t in (a, GAMMA_CAP):
+            data = t * K2 + Kd - t * dz * eye
+            data[~keep] = eye[~keep]
+            f, neg = self.factor(data)
+            if neg is None or neg > k:
+                return False
+            G = np.hstack([U.T @ f.solve(U[:, j:j + 8]) for j in range(0, 2 * k, 8)])
+            w, Q = np.linalg.eigh(np.block([[0.0 * Ik, Ik], [Ik, F]]) - G)  # capacitance
+            if np.count_nonzero(w > 0.0) != k + neg:
+                return False
+            E = np.vstack([-F, Ik])  # X^T H^-1 X by Woodbury:
+            XHX = E.T @ G @ (E + Q @ (Q.T @ G @ E / w[:, None]))
+            if not np.linalg.eigvalsh(C - dy * Ik - t * XHX)[0] > 0.0:
+                return False
+        return True
 
 
 def is_stable(cfg: ProblemConfig):
@@ -277,56 +349,54 @@ def is_stable(cfg: ProblemConfig):
 def _certified_limit(op: _StabilityOperator, sign: float, trace: list) -> float:
     """Certified end of the stable interval from gt = 0 in one direction.
 
-    After a step t with m2 > 0, GROW*t and then half that are tried by their
-    tangent test alone.  Failing both, a ray test returns sign*inf if A'(a) > 0;
-    else the largest eigenvalue theta of -A'(a) x = theta A(a) x proposes
+    At each a, a ray test returns sign*inf if A'(a) > 0 (with m2 = 0 at a = 0
+    only), and with m2 > 0 the kernel certificate ends it with the step (a, cap).
+    Else the largest eigenvalue theta of -A'(a) x = theta A(a) x proposes
     0.999/theta (the cap if theta <= 0 or Lanczos does not converge within
-    LANCZOS_RESTARTS restarts), halved until the tangent passes.  After a step
-    of at most BISECT_TOL, a failed test at a + BISECT_TOL ends the search at
-    a, once smallest_eigenvalue confirms lambda < 0 there.  A step that does
-    not advance a in floating point raises ArithmeticError.
+    LANCZOS_RESTARTS restarts), halved until the tangent passes.  After a step of
+    at most BISECT_TOL, a failed test at a + BISECT_TOL ends the search at a, once
+    smallest_eigenvalue confirms lambda < 0 there on the same factorization.  A
+    step that does not advance a in floating point raises ArithmeticError.
     """
     tol, cap = BISECT_TOL, GAMMA_CAP
     Kd, K2 = op.parts(sign)
-    a = last = 0.0
+    a = 0.0
     while a < cap:
         A, dA = op.K0 + a * Kd + a * a * K2, Kd + 2.0 * a * K2  # A(a), A'(a)
-        # the last step proved A(a) > 0.  With m2 = 0, A is its own tangent
-        # and the last Lanczos step aimed at its singular point: grow no step
-        grown = min(GROW * last, cap - a) if op.cfg.m2 > 0 else 0.0
-        t = next((t for t in (grown, 0.5 * grown) if a + t > a
-                  and op.positive_definite(A + t * dA) is not None), None)
-        if t is None:  # ray test (with m2 = 0 at a = 0 only), then a Lanczos step
-            ray = (a == 0 or op.cfg.m2 > 0) and op.positive_definite(dA) is not None
-            lu = positive_definite_factor(A_csr := op.matrix(sign * a))
-            if lu is None:  # at a > 0 the previous step proved the contrary
-                raise ArithmeticError(f"not positive definite at gamma_tilde = "
-                                      f"{sign * a!r} (bisect_tol = {tol:g})")
-            if ray:  # A(s) >= A(a) + (s - a)*A'(a) > 0 for every s >= a
-                trace.append(CertifiedStep(sign * a, sign * math.inf))
-                return sign * math.inf
-            minv = spla.LinearOperator(A_csr.shape, matvec=lu.solve, dtype=float)
-            try:
-                theta = float(spla.eigsh(
-                    -op.csr(dA), k=1, M=A_csr, Minv=minv, which="LA", tol=1e-3,
-                    maxiter=LANCZOS_RESTARTS, v0=np.ones(A_csr.shape[0]),
-                    return_eigenvectors=False)[0])
-            except spla.ArpackNoConvergence:
-                theta = 0.0  # no proposal: the cap, halved
-            # freed before the next factorizations: factors alive across them
-            # fragmented the heap, raising the tables' peak RSS by about 12 MB
-            del lu, minv, A_csr
-            t = cap - a if theta <= 0.0 else min(0.999 / theta, cap - a)
-            while a + t > a and op.positive_definite(A + t * dA) is None:
-                t *= 0.5
-            if not a + t > a:  # theta NaN, or t below the resolution of a
-                raise ArithmeticError(f"no step advances gamma_tilde = {sign * a!r} "
-                                      f"(step {t!r}, bisect_tol = {tol:g})")
+        below = op.factor(dA)[1] if a == 0 or op.cfg.m2 > 0 else None  # A'(a)'s
+        ray = below == 0  # non-positive eigenvalues, also a bound for the certificate
+        if not ray and op.cfg.m2 > 0 and op.kernel_certified(sign, a, below):
+            trace.append(CertifiedStep(sign * a, sign * cap))
+            return sign * math.inf
+        lu = positive_definite_factor(A_csr := op.matrix(sign * a))
+        if lu is None:  # at a > 0 the previous step proved the contrary
+            raise ArithmeticError(f"not positive definite at gamma_tilde = "
+                                  f"{sign * a!r} (bisect_tol = {tol:g})")
+        if ray:  # A(s) >= A(a) + (s - a)*A'(a) > 0 for every s >= a
+            trace.append(CertifiedStep(sign * a, sign * math.inf))
+            return sign * math.inf
+        minv = spla.LinearOperator(A_csr.shape, matvec=lu.solve, dtype=float)
+        try:
+            theta = float(spla.eigsh(
+                -op.csr(dA), k=1, M=A_csr, Minv=minv, which="LA", tol=1e-3,
+                maxiter=LANCZOS_RESTARTS, v0=np.ones(A_csr.shape[0]),
+                return_eigenvectors=False)[0])
+        except spla.ArpackNoConvergence:
+            theta = 0.0  # no proposal: the cap, halved
+        # freed before the next factorizations: factors alive across them
+        # fragmented the heap, raising the tables' peak RSS by about 12 MB
+        del lu, minv, A_csr
+        t = cap - a if theta <= 0.0 else min(0.999 / theta, cap - a)
+        while a + t > a and op.positive_definite(A + t * dA) is None:
+            t *= 0.5
+        if not a + t > a:  # theta NaN, or t below the resolution of a
+            raise ArithmeticError(f"no step advances gamma_tilde = {sign * a!r} "
+                                  f"(step {t!r}, bisect_tol = {tol:g})")
         trace.append(CertifiedStep(sign * a, sign * min(a + t, cap)))
-        a, last = min(a + t, cap), t
+        a = min(a + t, cap)
         end = sign * min(a + tol, cap)
-        if t <= tol and a < cap and op.positive_definite(op.data(end)) is None:
-            lam = op.lambda_min(end)
+        if t <= tol and a < cap and (at_end := op.factor(op.data(end)))[1] != 0:
+            lam = op.lambda_min(end, at_end)
             trace.append(Crossing(end, lam))
             if not lam < 0.0:
                 raise ArithmeticError(f"not positive definite at gamma_tilde = {end:g}"

@@ -17,7 +17,7 @@ from stabmix import (AbstractConstants, MixedSpace, ProblemConfig,
                      assemble_pressure_mass, build_structured_mesh, compute_M0,
                      compute_errors, estimate_inf_sup, find_stability_limits,
                      is_stable, manufactured_pressure, run_convergence)
-from stabmix import analysis, forms
+from stabmix import analysis, forms, solvers
 from stabmix.analysis import (KERNEL_RTOL, CertifiedStep, Crossing,
                               _StabilityOperator)
 from stabmix.mesh import TriMesh
@@ -225,8 +225,10 @@ def test_lanczos_budget_keeps_finite_directions(monkeypatch, n):
 
 
 def test_lanczos_budget_proposes_the_cap(monkeypatch):
-    # 17x17 problem 2's unbounded direction needs more restarts than the
-    # budget: the proposal is the cap, halved until the tangent test passes
+    # 33x33 problem 2's unbounded direction: the kernel certificate fails at
+    # gt = 0, and the one Lanczos proposal needs more restarts than the budget,
+    # so the cap, halved until the tangent test passes, steps first; at its end
+    # the kernel certificate closes the tail up to the cap
     real, outcomes = spla.eigsh, []
 
     def recorded(*args, **kwargs):
@@ -238,11 +240,16 @@ def test_lanczos_budget_proposes_the_cap(monkeypatch):
         return outcomes[-1]
 
     monkeypatch.setattr(analysis.spla, "eigsh", recorded)
-    limit, trace = _trace_of(ProblemConfig(problem=2, n=17), -1.0)
+    tests, certificates = _count_calls(monkeypatch, "positive_definite",
+                                       "kernel_certified")
+    limit, trace = _trace_of(ProblemConfig(problem=2, n=33), -1.0)
     assert limit == -math.inf and outcomes == [None]
     first = -trace[0].hi / analysis.GAMMA_CAP
     assert first == 2.0 ** round(math.log2(first)) < 1.0
-    assert trace[-1].hi == -analysis.GAMMA_CAP
+    assert trace == [CertifiedStep(-0.0, trace[0].hi),
+                     CertifiedStep(trace[0].hi, -analysis.GAMMA_CAP)]
+    # one tangent test per halving of the cap
+    assert len(certificates) == 2 and len(tests) == 1 - round(math.log2(first))
 
 
 @pytest.mark.slow
@@ -256,6 +263,87 @@ def test_critical_loads_65_problem1(sign, limit):
     if sign < 0:
         first = -trace[0].hi / analysis.GAMMA_CAP
         assert first == 2.0 ** round(math.log2(first))
+
+
+@pytest.mark.slow
+def test_kernel_certificate_65_problem2(monkeypatch):
+    # the certificate's linear lower bound reaches down to about s = 400 at
+    # 65x65, so problem 2's unbounded direction takes a few Lanczos steps
+    # before the certificate closes it
+    calls = _count_eigsh(monkeypatch)
+    limit, trace = _trace_of(ProblemConfig(problem=2, n=65), -1.0)
+    assert limit == -math.inf and trace[-1].hi == -analysis.GAMMA_CAP
+    assert 300.0 < -trace[-1].lo < 1e3 and len(calls) == len(trace) - 1 <= 4
+
+
+def _dense_kernel_forms(op, sign):
+    """Dense G(0) and G'(0) = W^T Kd W of the kernel certificate, on the
+    orthonormal bases Z of ker S and W of its K0-orthogonal complement."""
+    K0, S, Kd = (op.csr(d).toarray() for d in (op.K0, op.S, op.parts(sign)[0]))
+    Z = sla.null_space(S)
+    W = sla.null_space(Z.T @ K0)
+    G0 = np.block([[op.cfg.m2 * W.T @ S @ W, W.T @ Kd @ Z],
+                   [Z.T @ Kd @ W, Z.T @ K0 @ Z]])
+    return Z, G0, W.T @ Kd @ W
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_kernel_certificate_matches_dense_oracle(n):
+    # v = x + s*Z*y, x in W, turns A(s)/s^2 into G(0) + G'(0)/s + O(1/s^2),
+    # convex in 1/s: G(0) > 0 and the tangent G(0) + G'(0)/a > 0 (at a = 0:
+    # G'(0) > 0) prove A > 0 on [a, inf).  The sparse certificate, which also
+    # carries the margins of the dropped K2 Z and Z^T Kd Z terms, agrees
+    op = _StabilityOperator(ProblemConfig(problem=2, n=n))
+    assert op.kernel[0].shape[1] == n - 2
+    for sign in (-1.0, 1.0):
+        Z, G0, dG = _dense_kernel_forms(op, sign)
+        assert Z.shape[1] == n - 2 and np.linalg.eigvalsh(G0)[0] > 0.0
+        verdicts = []
+        for a in (0.0, 10.0, 1e3, 1e4):
+            tangent = dG if a == 0.0 else G0 + np.pad(dG, (0, n - 2)) / a
+            dense = np.linalg.eigvalsh(tangent)[0] > 0.0
+            assert op.kernel_certified(sign, a) == dense, (sign, a)
+            verdicts.append(dense)
+        # the negative direction is proved at every load, the positive one
+        # only past its unstable interval
+        assert verdicts == ([True] * 4 if sign < 0 else
+                            [False, False, n == 5, True])
+
+
+def test_kernel_certificate_refuses_unsound_claims():
+    # 9x9 problem 2 is unstable from gamma_M = 3.86 to about 1884 in the
+    # positive direction, so no certificate from a below that may pass
+    op = _StabilityOperator(ProblemConfig(problem=2, n=9))
+    assert _dense_lambda_min(op.matrix(1500.0)) < 0.0
+    assert not any(op.kernel_certified(1.0, a)
+                   for a in (0.0, 3.0, 3.9, 10.0, 100.0, 1000.0, 1500.0))
+    # with m2 = 0.1, 5x5 problem 2 is unstable past gamma_m = -373.1 up to the
+    # cap: L > 0 at u = 1/a, and only the test at u = 1/GAMMA_CAP refuses
+    weak = _StabilityOperator(ProblemConfig(problem=2, n=5, m2=0.1))
+    assert _dense_lambda_min(weak.matrix(-1e6)) < 0.0
+    assert not any(weak.kernel_certified(-1.0, a) for a in (0.0, 10.0, 100.0))
+    # the margins follow the basis's residuals: roundoff passes, an error of
+    # 1e-6, far beyond what they cover, is refused
+    Z, I = op.kernel
+    wiggle = np.cos(np.arange(Z.size)).reshape(Z.shape)
+    for size, passes in ((1e-15, True), (1e-6, False)):
+        op.__dict__["kernel"] = (np.linalg.qr(Z + size * wiggle)[0], I)
+        assert op.kernel_certified(-1.0, 0.0) == passes
+
+
+def test_crossing_factors_its_block_once(monkeypatch):
+    # the end test's condensed factorization of A(gamma_M + BISECT_TOL) is the
+    # one smallest_eigenvalue takes at sigma = 0: the search ends with one
+    # factorization of that block, not two
+    real, factored = solvers.ldlt_factor, []
+    monkeypatch.setattr(solvers, "ldlt_factor",
+                        lambda A: factored.append(A.toarray()) or real(A))
+    op = _StabilityOperator(ProblemConfig(problem=1, n=9))
+    limit, trace = _trace_of(op.cfg, 1.0)
+    assert trace[-1].load == pytest.approx(14.697, abs=1e-3)
+    schur = op._condense(op.data(trace[-1].load))[3].toarray()
+    assert np.array_equal(factored[-1], schur)
+    assert not np.array_equal(factored[-2], schur)
 
 
 def test_verdicts_build_no_full_block(monkeypatch):
@@ -305,6 +393,18 @@ def test_find_stability_limits_small_mesh():
     assert crossings[0].load == pytest.approx(rep.gamma_M + analysis.BISECT_TOL)
 
 
+def _count_calls(monkeypatch, *names):
+    """Lists that record each call of the named _StabilityOperator methods."""
+    lists = []
+    for name in names:
+        real, calls = getattr(_StabilityOperator, name), []
+        monkeypatch.setattr(_StabilityOperator, name,
+                            lambda op, *a, real=real, calls=calls:
+                            calls.append(a) or real(op, *a))
+        lists.append(calls)
+    return lists
+
+
 def _count_eigsh(monkeypatch):
     calls = []
     real = spla.eigsh
@@ -331,23 +431,23 @@ def test_ray_proof_settles_unbounded_direction(monkeypatch, n):
 
 
 def test_tail_steps_skip_lanczos(monkeypatch, factor_budget):
-    # problem 2's A' fails every ray test, so the negative direction steps
-    # to the cap; after the first step the grown proposals are proved by
-    # their tangent test alone
-    op = _StabilityOperator(ProblemConfig(problem=2, n=9))
+    # problem 2's A' fails the ray test, but on 5...17 nodes the kernel
+    # certificate proves the negative direction up to the cap at gt = 0:
+    # one step, with no tangent test and no Lanczos solve
     calls = _count_eigsh(monkeypatch)
-    trace = []
-    assert analysis._certified_limit(op, -1.0, trace) == -math.inf
-    assert len(calls) == 1  # the first step's
-    assert trace[0].lo == 0.0 and trace[-1].hi == -analysis.GAMMA_CAP
-    assert all(s.hi == t.lo for s, t in zip(trace, trace[1:]))
-    assert len(trace) > 2
+    tests, = _count_calls(monkeypatch, "positive_definite")
+    for n in (5, 9, 17):
+        op = _StabilityOperator(ProblemConfig(problem=2, n=n))
+        trace = []
+        assert analysis._certified_limit(op, -1.0, trace) == -math.inf
+        assert trace == [CertifiedStep(-0.0, -analysis.GAMMA_CAP)]
+    assert calls == [] and tests == []
 
 
 def test_linear_block_grows_no_step(monkeypatch):
     # with m2 = 0 the block is its own tangent, so the Lanczos step aims at
-    # its singular point and no grown step is tried: three steps take the ray
-    # test at gt = 0, A(a) and the tangent per step, and the end test
+    # its singular point: three steps take A(a) and the tangent each; the ray
+    # test at gt = 0 and the end test, which lambda_min reuses, are op.factor's
     real, calls = analysis.positive_definite_factor, []
     monkeypatch.setattr(analysis, "positive_definite_factor",
                         lambda A: calls.append(None) or real(A))
@@ -362,7 +462,7 @@ def test_linear_block_grows_no_step(monkeypatch):
     assert isinstance(crossing, Crossing)
     assert crossing.load == pytest.approx(14.6971905853687, rel=1e-12)
     assert crossing.lam == pytest.approx(-0.015688121188100743, rel=1e-6)
-    assert len(calls) == 8
+    assert len(calls) == 6
 
 
 def test_unconfirmed_crossing_raises(monkeypatch):
@@ -381,9 +481,7 @@ def test_nan_step_raises(monkeypatch, factor_budget):
 def test_step_below_resolution_raises(monkeypatch, factor_budget):
     # the first proposal steps to gt = 1, well inside the stable range
     # (gamma_M = 14.69); every later one is a step of 1e-30, which 1.0 + t
-    # rounds away.  With m2 = 0 no grown step is tried, and grown to the cap
-    # it would fail its tangent test: every later step is the Lanczos one
-    monkeypatch.setattr(analysis, "GROW", analysis.GAMMA_CAP)
+    # rounds away
     thetas = iter([0.999])
     monkeypatch.setattr(analysis.spla, "eigsh",
                         lambda *a, **k: np.array([next(thetas, 1e30)]))
