@@ -39,7 +39,7 @@ import scipy.sparse.linalg as spla
 
 from . import forms
 from .mesh import build_structured_mesh
-from .solvers import (SaddleSystem, factor_with_inertia, ldlt_factor,
+from .solvers import (LANCZOS_TOL, SaddleSystem, factor_with_inertia, ldlt_factor,
                       positive_definite_factor, smallest_eigenvalue, solve_saddle)
 from .spaces import MixedSpace
 
@@ -158,6 +158,55 @@ def compute_M0(constants: AbstractConstants) -> float:
     return (0.5 * a + c2 + 2.0 * c1 * c1 / a) / (b * b)
 
 
+def _condense(space: MixedSpace, data, coupling=None):
+    """The MINI bubbles of operator data over the "uu" plan eliminated element by
+    element: (B_e^-1, C_e, G_e = B_e^-1 C_e, the vertex Schur complement A_vv - sum_e
+    C_e^T G_e, the B_e's count of negative eigenvalues), or None if a B_e is singular.
+    Given coupling, B as assembled by the "pu" plan and C (or 0), the same of the saddle
+    [[A, B^T], [B, C]]: C_e and G_e gain the columns of B_b,e^T, and B^ = B_v - sum_e
+    B_b,e G_e and C - sum_e B_b,e B_e^-1 B_b,e^T follow."""
+    bb, bv, upd, vv, indices, indptr = space.condensation()[:6]
+    ext = np.append(data, 0.0)
+    B, C = ext[bb], ext[bv]
+    det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
+    if not np.all((det < 0.0) | (det > 0.0)):  # a zero or NaN determinant
+        return None
+    # a 2x2 block has one negative eigenvalue if det < 0, two if also b00 < 0
+    below = int(np.sum(det < 0.0) + 2 * np.sum((det > 0.0) & (B[:, 0, 0] < 0.0)))
+    Binv = np.stack([B[:, 1, 1], -B[:, 0, 1], -B[:, 1, 0], B[:, 0, 0]], axis=-1)
+    Binv = (Binv / det[:, None]).reshape(-1, 2, 2)
+    if coupling is not None:  # pos[e, p, j] of B, bubble dofs j = 6, 7
+        pu, pp = space.scatter_plan("pu"), space.scatter_plan("pp")
+        Bb = coupling[0].data[pu.pos.reshape(len(B), 3, 8)[:, :, 6:].transpose(0, 2, 1)]
+        C = np.concatenate([C, Bb], axis=2)
+    U = C.transpose(0, 2, 1) @ (G := Binv @ C)
+    schur = data[vv] - np.bincount(upd.ravel(), weights=U[:, :6, :6].ravel(),
+                                   minlength=len(vv) + 1)[:len(vv)]
+    nvf = len(indptr) - 1
+    parts = Binv, C, G, sp.csr_matrix((schur, indices, indptr), shape=(nvf, nvf)), below
+    if coupling is None:
+        return parts
+    BG = np.pad(U[:, 6:, :6], ((0, 0), (0, 0), (0, 2)))  # B_b,e G_e, none on bubbles
+    return (*parts, (coupling[0] - pu.assemble(BG))[:, :nvf],
+            coupling[1] - pp.assemble(U[:, 6:, 6:]))
+
+
+def _bubble_solve(Binv, C, G, cols, inner, x):
+    """Solve with the bubbles eliminated element by element, given _condense's parts: x
+    and the result, vectors or blocks, hold the rows of the condensed system, which
+    inner solves, then two per element; cols are its rows of the C_e's columns."""
+    nr, m = len(x) - 2 * len(Binv), x.shape[1:]  # a vector keeps the einsum's last bits
+    dot = np.matmul if m else (lambda A, b: np.einsum("eij,ej->ei", A, b))
+    y = dot(Binv, x[nr:].reshape(-1, 2, *m))  # B_e^-1 x_b
+    w = dot(C.transpose(0, 2, 1), y).reshape(*cols.shape, -1)  # C_e^T y_e
+    k = w.shape[2]  # x_r - sum_e C_e^T y_e, one bincount for all columns
+    z = np.concatenate([x[:nr], np.zeros((1, *m))]) - np.bincount(
+        (cols[..., None] * k + np.arange(k)).ravel(), w.ravel(),
+        (nr + 1) * k).reshape(nr + 1, *m)
+    z[:nr], z[nr] = inner(z[:nr]), 0.0  # slot nr: fixed vertices
+    return np.concatenate([z[:nr], (y - dot(G, z[cols])).reshape(-1, *m)])
+
+
 class _StabilityOperator:
     """Reduced operators of one mesh as data over the CSR pattern they share,
     explicit zeros included: K0 = mu*E2, the load stiffness R and the
@@ -194,82 +243,29 @@ class _StabilityOperator:
         Kd, K2 = (self.csr(d) for d in self.parts(sign))
         return (self.csr(self.K0) + s * Kd + s * s * K2).tocsr()
 
-    @functools.cached_property
-    def _condensation(self):
-        """Slots of B_e, C_e and C_e^T B_e^-1 C_e, and the slots and pattern of the
-        block of the free vertex dofs, numbered first; a fixed vertex takes data
-        slot nnz, read as zero, and block slot nvv.  Then the dofs of the columns
-        of C_e, nvf for a fixed vertex, and the data of the identity."""
-        plan, nt = self.plan, self.space.mesh.n_triangles
-        nvf = int(np.searchsorted(self.space.free_dofs, 2 * self.space.mesh.n_nodes))
-        pos = plan.pos.reshape(nt, 4, 4, 2, 2)  # [e, a, b, c, d], bubble a = 3
-        vv = np.flatnonzero(plan.indices[:plan.indptr[nvf]] < nvf)
-        to_vv = np.full(len(plan.indices) + 1, len(vv))
-        to_vv[vv] = np.arange(len(vv))
-        upd = to_vv[pos[:, :3, :3].transpose(0, 1, 3, 2, 4).reshape(nt, 6, 6)]
-        rows = np.repeat(np.arange(plan.shape[0]), np.diff(plan.indptr))
-        return (pos[:, 3, 3], pos[:, 3, :3].transpose(0, 2, 1, 3).reshape(nt, 2, 6),
-                upd, vv, plan.indices[vv], np.searchsorted(vv, plan.indptr[:nvf + 1]),
-                np.minimum(self.space.numbering(True)[0][:, :6], nvf),
-                1.0 * (plan.indices == rows))
-
-    def _condense(self, data):
-        """(B_e^-1, C_e, B_e^-1 C_e, the vertex Schur complement A_vv - sum_e
-        C_e^T B_e^-1 C_e, the B_e's count of negative eigenvalues) of block
-        data, or None when a B_e is singular."""
-        bb, bv, upd, vv, indices, indptr = self._condensation[:6]
-        ext = np.append(data, 0.0)
-        B, C = ext[bb], ext[bv]
-        det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
-        if not np.all((det < 0.0) | (det > 0.0)):  # a zero or NaN determinant
-            return None
-        # a 2x2 block has one negative eigenvalue if det < 0, two if also b00 < 0
-        below = int(np.sum(det < 0.0) + 2 * np.sum((det > 0.0) & (B[:, 0, 0] < 0.0)))
-        Binv = np.stack([B[:, 1, 1], -B[:, 0, 1], -B[:, 1, 0], B[:, 0, 0]], axis=-1)
-        Binv = (Binv / det[:, None]).reshape(-1, 2, 2)
-        U = C.transpose(0, 2, 1) @ (G := Binv @ C)
-        schur = data[vv] - np.bincount(upd.ravel(), weights=U.ravel(),
-                                       minlength=len(vv) + 1)[:len(vv)]
-        return Binv, C, G, sp.csr_matrix((schur, indices, indptr),
-                                         shape=(len(indptr) - 1,) * 2), below
-
     def positive_definite(self, data):
         """positive_definite_factor of the vertex Schur complement of block data,
         or None: A > 0 iff it and every B_e are.  A B_e not so returns None unfactored."""
-        parts = self._condense(data)
+        parts = _condense(self.space, data)
         return None if parts is None or parts[4] else positive_definite_factor(parts[3])
 
-    def factor(self, data):
-        """Bubble-condensed LDL^T of block data and its count of non-positive
-        eigenvalues, the B_e's plus the Schur complement's pivots (Haynsworth), or
-        None if it proves nothing, as a singular B_e does.  Its solve, of a vector or a
-        block, eliminates the bubbles element by element, solves the vertex system and
-        substitutes back."""
-        if (parts := self._condense(data)) is None:
+    def factor(self, data, parts=None):
+        """Bubble-condensed LDL^T of block data (or its _condense parts), its solve that
+        of _bubble_solve, and its count of non-positive eigenvalues, the B_e's plus the
+        Schur pivots' (Haynsworth), or None if it proves nothing, as a singular B_e."""
+        if (parts := parts or _condense(self.space, data)) is None:
             return None, None
-        (Binv, C, G, schur, below), vcols = parts, self._condensation[6]
+        Binv, C, G, schur, below = parts[:5]
         lu, nonpositive = factor_with_inertia(schur)
-        nvf = schur.shape[0]
-
-        def solve(x):  # x is (n,) or (n, m); two bubble dofs per element follow nvf
-            m = x.shape[1:]  # matmul on blocks; a vector keeps the einsum's last bits
-            dot = np.matmul if m else (lambda A, b: np.einsum("eij,ej->ei", A, b))
-            y = dot(Binv, x[nvf:].reshape(-1, 2, *m))  # B_e^-1 x_b
-            w = dot(C.transpose(0, 2, 1), y).reshape(*vcols.shape, -1)  # C_e^T y_e
-            cols = w.shape[2]  # x_v - sum_e C_e^T y_e, one bincount for all columns
-            z = np.concatenate([x[:nvf], np.zeros((1, *m))]) - np.bincount(
-                (vcols[..., None] * cols + np.arange(cols)).ravel(), w.ravel(),
-                (nvf + 1) * cols).reshape(nvf + 1, *m)
-            z[:nvf], z[nvf] = lu.solve(z[:nvf]), 0.0  # slot nvf: fixed vertices
-            return np.concatenate([z[:nvf], (y - dot(G, z[vcols])).reshape(-1, *m)])
-
+        solve = functools.partial(_bubble_solve, Binv, C[..., :6], G[..., :6],
+                                  self.space.condensation()[6], lu.solve)
         return (types.SimpleNamespace(solve=solve),
                 None if nonpositive is None else below + nonpositive)
 
     def lambda_min(self, gamma_tilde: float, at_zero=None) -> float:
         """smallest_eigenvalue of the block on its condensed factorizations; at_zero,
         factor(data) taken already, serves the shift sigma = 0."""
-        data, eye = self.data(gamma_tilde), self._condensation[7]
+        data, eye = self.data(gamma_tilde), self.space.condensation()[7]
         return smallest_eigenvalue(self.csr(data), lambda s: at_zero if at_zero and s == 0
                                    else self.factor(data - s * eye))
 
@@ -279,7 +275,7 @@ class _StabilityOperator:
         eps*I, eps = 1e-12*max|S|, and Rayleigh-Ritz (the block doubles until a Ritz value
         is >= eps, and it must be >= 1e3*eps), I pivot rows of a QR of Z^T; or None."""
         S, eps, b = self.csr(self.S), 1e-12 * np.abs(self.S).max(), 16
-        solve = self.factor(self.S + eps * self._condensation[7])[0].solve
+        solve = self.factor(self.S + eps * self.space.condensation()[7])[0].solve
         while b < S.shape[0]:
             Y = np.cos(np.outer(np.arange(1.0, S.shape[0] + 1), np.arange(1.0, b + 1)))
             for _ in range(2):  # 8 columns at a time, for a small peak RSS
@@ -307,7 +303,8 @@ class _StabilityOperator:
         where it is a times L's top block at u = 1/a, up to roundoff."""
         if self.kernel is None or (below or 0) > len(self.kernel[1]):
             return False
-        (Z, I), (Kd, K2), eye = self.kernel, self.parts(sign), self._condensation[7]
+        (Z, I), (Kd, K2) = self.kernel, self.parts(sign)
+        eye = self.space.condensation()[7]
         norm = lambda M: math.sqrt(np.linalg.eigvalsh(M.T @ M)[-1])  # noqa: E731
         K2Z, k, J = self.csr(K2) @ Z, len(I), np.ones(len(Z), bool)
         N, M = norm(K2Z), max(0.0, -np.linalg.eigvalsh(Z.T @ K2Z)[0])  # Z^T K2 Z >= -M
@@ -420,18 +417,20 @@ def estimate_inf_sup(space: MixedSpace) -> float:
 
     beta1^2 is the smallest eigenvalue of S p = lambda M_p p, S = B K_V^{-1} B^T,
     above the kernel of B^T (spurious pressure modes of the control pair).  The
-    pressure part of [[K_V, B^T], [B, sigma M_p]]^{-1} (0, r) is
-    -(S - sigma M_p)^{-1} r, so shift-invert Lanczos about sigma = INFSUP_SHIFT
-    from a fixed start vector gives the k smallest eigenvalues without forming
-    S; k doubles until one clears the kernel.  Once k reaches n_p - 1, beyond
-    ARPACK, the same solve is applied to the identity.
+    pressure part of [[K_V, B^T], [B, sigma M_p]]^{-1} (0, r) is -(S - sigma M_p)^{-1}
+    r, and that of [[K_V^, B^^T], [B^, sigma M_p - D]], the MINI bubbles eliminated,
+    too; so shift-invert Lanczos to LANCZOS_TOL about sigma = INFSUP_SHIFT from a fixed
+    start vector gives the k smallest eigenvalues without forming S; k doubles until
+    one clears the kernel.  Once k reaches n_p - 1, beyond ARPACK, the same solve is
+    applied to the identity.
     """
-    B = forms.assemble_coupling(space)
-    Mp = forms.assemble_pressure_mass(space)
+    B, Mp = forms.assemble_coupling(space), forms.assemble_pressure_mass(space)
+    sigma, K_V, C = INFSUP_SHIFT, forms.assemble_h1_gram(space), INFSUP_SHIFT * Mp
+    if space.include_bubbles:  # the MINI bubbles eliminated: K_V^, B^, sigma*M_p - D
+        *_, K_V, _, B, C = _condense(space, K_V.data, (B, C))
     n_p, n_u = B.shape
-    sigma = INFSUP_SHIFT
-    # quasi-definite (K_V, -sigma M_p SPD): LDL^T exists in any symmetric order
-    lu = ldlt_factor(sp.bmat([[forms.assemble_h1_gram(space), B.T], [B, sigma * Mp]]))
+    # quasi-definite (K_V and -C SPD): LDL^T exists in any symmetric order
+    lu = ldlt_factor(sp.bmat([[K_V, B.T], [B, C]]))
 
     def shifted_solve(r):  # (S - sigma M_p)^{-1} r, r a vector or a block
         rhs = np.zeros((n_u + n_p,) + r.shape[1:])
@@ -445,7 +444,7 @@ def estimate_inf_sup(space: MixedSpace) -> float:
     opinv = spla.LinearOperator((n_p, n_p), matvec=shifted_solve, dtype=float)
     k = 2
     while k < n_p - 1:
-        w = spla.eigsh(schur, k=k, M=Mp, sigma=sigma, OPinv=opinv,
+        w = spla.eigsh(schur, k=k, M=Mp, sigma=sigma, OPinv=opinv, tol=LANCZOS_TOL,
                        v0=np.ones(n_p), return_eigenvectors=False)
         if w.max() >= KERNEL_RTOL * INFSUP_BOUND:
             break
@@ -497,6 +496,9 @@ def run_convergence(cfg: ProblemConfig, meshes) -> ConvergenceTable:
     stability first (refusing with a diagnostic if the block is not
     positive definite), and reports pressure/displacement errors with the
     observed pressure order log(e_prev/e) / log(h_prev/h), h = 2/(n - 1).
+    Each mesh eliminates the MINI bubbles from the block and the coupling once:
+    the vertex factorization gives lambda_min, solve_saddle solves the condensed
+    saddle [[A^, B^^T], [B^, -D]], and the bubbles follow element by element.
 
     The displacement error is measured on the vertex (conforming P1) part
     of the field; the element bubbles are interior enrichment whose
@@ -511,21 +513,25 @@ def run_convergence(cfg: ProblemConfig, meshes) -> ConvergenceTable:
     for n in meshes:
         c = replace(cfg, n=n)
         op = _StabilityOperator(c)
-        lam = op.lambda_min(c.gamma_tilde)
-        space, A = op.space, op.matrix(c.gamma_tilde)
-        del op  # its assembled parts would stay alive through the saddle solve
-        if lam <= 0.0:
+        space, data = op.space, op.data(c.gamma_tilde)
+        parts = _condense(space, data, (forms.assemble_coupling(space), 0.0))
+        lam = op.lambda_min(c.gamma_tilde, op.factor(data, parts))
+        del op, data  # its assembled parts would stay alive through the saddle solve
+        if not lam > 0.0 or parts is None:
             raise ValueError(
                 f"stabilized block is not positive definite on the {n}x{n} "
                 f"mesh at gamma_tilde = {c.gamma_tilde} "
                 f"(lambda_min = {lam:.6e}); refusing to run convergence")
-        B = forms.assemble_coupling(space)
+        Binv, C, G, A, _, B, Cp = parts
         F = forms.assemble_load(space, manufactured_load, scale=c.delta_gamma)
-        w_h, p_h = solve_saddle(SaddleSystem(
-            A_total=A, B=B, rhs_u=F, rhs_p=np.zeros(space.n_p)))
-        vertex_w = np.where(space.free_dofs < 2 * space.mesh.n_nodes, w_h, 0.0)
+        n_p, cols = space.n_p, space.condensation()[6]
+        x = _bubble_solve(  # the pressures first, so a fixed vertex's column stays last
+            Binv, C, G, np.hstack([cols + n_p, space.mesh.triangles]),
+            lambda z: np.concatenate(solve_saddle(SaddleSystem(
+                A, B, z[n_p:], z[:n_p], C=Cp))[::-1]), np.concatenate([np.zeros(n_p), F]))
+        vertex_w = np.where(space.free_dofs < 2 * space.mesh.n_nodes, x[n_p:], 0.0)
         err_p, err_w = compute_errors(
-            space, vertex_w, p_h,
+            space, vertex_w, x[:n_p],
             exact_pressure=lambda x, y: c.delta_gamma * manufactured_pressure(x, y))
         order = None  # in h = 2/(n - 1); none on an unchanged mesh or a zero error
         if prev is not None and prev[0] != n and prev[1] > 0.0 and err_p > 0.0:

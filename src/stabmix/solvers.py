@@ -2,15 +2,14 @@
 
 Every factorization is ``ldlt_factor``'s: SuperLU in a symmetric
 fill-reducing order with diagonal pivots preferred.  ``smallest_eigenvalue``
-takes the first shift sigma with at most one negative LDL^T pivot of
-A - sigma*I, so at most one eigenvalue below it (sigma = 0 first, then
-geometric steps down to the Gershgorin bound), and runs shift-invert
-Lanczos about it, on NCV vectors at sigma = 0, from a fixed start vector, so
-results are deterministic.  The stability block passes its factorization with
-the MINI bubbles condensed out, a third of the size, in place of this LDL^T.
-On the 33x33 convergence saddles the order keeps 0.41M nonzeros in L + U
-where SuperLU's default COLAMD order kept 1.3-1.4M, and factor plus solve
-takes 0.03 s instead of 0.11 s (0.18 s instead of 1.0 s at 65x65, 2 vCPUs).
+takes a shift sigma with at most one negative LDL^T pivot of A - sigma*I, so at
+most one eigenvalue below it (sigma = 0 first, then geometric steps down and a
+bisection), and runs shift-invert Lanczos to LANCZOS_TOL about it, on NCV vectors
+at sigma = 0, from a fixed start vector, so results are deterministic.  The
+stability block passes its factorization with the MINI bubbles condensed out, a
+third of the size, in place of this LDL^T.  The convergence saddles come condensed
+too: at 33x33 the order keeps 0.29-0.31M nonzeros in L + U, COLAMD 0.40-0.42M, and
+factor plus solve takes 17 ms, not 30-33 ms (65x65: 0.11 s, not 0.3 s; 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -25,9 +24,13 @@ import scipy.sparse.linalg as spla
 SYMMETRY_RTOL = 1e-10
 RESIDUAL_RTOL = 1e-10
 # Lanczos basis at sigma = 0, at most n: 33x33 verdicts (five bands, two reference
-# loads) took 7-19 solves with 6 vectors, 21 with ARPACK's default 20.  A shift below
-# 0 can sit far under an eigenvalue cluster: 9x9 classical gt = 2 took 11047 with 6
+# loads) took 7-19 solves with 6 vectors, 21 with ARPACK's default 20, at tol = 0.  Below
+# 0 the default stays: far under a cluster, 9x9 classical gt = 2 had taken 11047 with 6
 NCV = 6
+# ARPACK's residual tolerance; Ritz values converge quadratically in it.  Against 0
+# (machine precision) 33x33 verdicts took 7-10 solves instead of 7-16, lambda moving
+# by at most 7.1e-16 relative, and beta1 by at most 3.7e-13 on 2..17, 33, 65 nodes
+LANCZOS_TOL = 1e-8
 
 
 class NonSymmetricMatrixError(ValueError):
@@ -91,27 +94,29 @@ def _shift_below_spectrum(A, shifted):
     """Shift sigma <= 0 with at most one eigenvalue of A below it, the
     factorization shifted(sigma) and the count (0 or 1) of those eigenvalues.
 
-    Below the Gershgorin lower bound A - sigma*I is strictly diagonally
-    dominant with a positive diagonal, so the search ends there at the
-    latest; a refusal at that point raises instead of searching on.
+    Negative shifts start at 1e-8 of the infinity norm and grow tenfold.  One with
+    none below after one with two or more starts a bisection between them for exactly
+    one below, which isolates lambda_min from a cluster above it; a bracket as wide as
+    the first step ends it at its lower shift.  Below the Gershgorin lower bound A -
+    sigma*I is strictly diagonally dominant with a positive diagonal, so the walk ends
+    there at the latest; a refusal at that point raises instead of searching on.
     """
     diag = A.diagonal()
     row_abs = np.asarray(abs(A).sum(axis=1)).ravel()
     gershgorin = float(np.min(diag + np.abs(diag) - row_abs))
-    # negative shifts start at 1e-8 of the infinity norm and grow tenfold
-    step = 1e-8 * (float(row_abs.max()) or 1.0)
-    sigma = 0.0
+    step = width = 1e-8 * (float(row_abs.max()) or 1.0)
+    sigma, lo, hi = 0.0, None, 0.0  # no eigenvalue below lo, two or more below hi
     while True:
         lu, below = shifted(sigma)
-        if below is not None and below <= 1:
+        if below == 1 or below == 0 and (sigma == 0.0 or hi - sigma <= width):
             return sigma, lu, below
-        if sigma < gershgorin:
+        if below != 0 and sigma < gershgorin:
             raise ArithmeticError(
                 f"no LDL^T factorization of A - sigma*I with at most one negative "
                 f"pivot at sigma = {sigma:.3e}, below the Gershgorin bound "
                 f"{gershgorin:.3e}")
-        sigma = -step
-        step *= 10.0
+        lo, hi = (sigma, hi) if below == 0 else (lo, sigma)
+        sigma, step = (-step, 10.0 * step) if lo is None else (0.5 * (lo + hi), step)
 
 
 def smallest_eigenvalue(S, shifted=None) -> float:
@@ -132,25 +137,26 @@ def smallest_eigenvalue(S, shifted=None) -> float:
     opinv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
     # nu = 1/(lambda - sigma): with no eigenvalue below sigma lambda_min has the
     # largest |nu|, with one it has the only negative nu
-    vals = spla.eigsh(A, k=1, sigma=sigma, which="SA" if below else "LM",
-                      OPinv=opinv, v0=np.ones(n), return_eigenvectors=False,
+    vals = spla.eigsh(A, k=1, sigma=sigma, which="SA" if below else "LM", OPinv=opinv,
+                      v0=np.ones(n), return_eigenvectors=False, tol=LANCZOS_TOL,
                       ncv=min(NCV, n) if sigma == 0.0 else None)
     return float(vals[0])
 
 
 @dataclass(frozen=True)
 class SaddleSystem:
-    """Block system [[A, B^T], [B, 0]] with right-hand sides for both rows."""
+    """Block system [[A, B^T], [B, C]], C zero unless given, and both right-hand sides."""
 
     A_total: sp.spmatrix
     B: sp.spmatrix
     rhs_u: np.ndarray
     rhs_p: np.ndarray
+    C: sp.spmatrix | None = None
 
 
 def solve_saddle(system: SaddleSystem):
     """Direct sparse LU solve of the full block system by ldlt_factor,
-    which pivots off the diagonal on the zero pressure block.
+    which pivots off the diagonal on a zero pressure block.
 
     Returns (w, p).  Raises SingularSaddleError when the factorization
     fails, produces non-finite values, or leaves a block residual larger
@@ -162,7 +168,8 @@ def solve_saddle(system: SaddleSystem):
     if B.shape[1] != n_u:
         raise ValueError(f"coupling block shape {B.shape} does not match "
                          f"{n_u} displacement dofs")
-    K = sp.bmat([[A, B.T], [B, None]], format="csc")
+    C = None if system.C is None else _as_symmetric(system.C, "saddle pressure block")
+    K = sp.bmat([[A, B.T], [B, C]], format="csc")
     rhs = np.concatenate([np.asarray(system.rhs_u, dtype=float),
                           np.asarray(system.rhs_p, dtype=float)])
     if rhs.shape[0] != n_u + n_p:

@@ -215,3 +215,25 @@ class MixedSpace:
             }[form]
             self._plans[form, reduced] = ScatterPlan.build(rows, cols, shape)
         return self._plans[form, reduced]
+
+    def condensation(self):
+        """Slot maps that eliminate the MINI bubbles from an operator of the "uu" plan,
+        built on first use: the slots of B_e, C_e and C_e^T B_e^-1 C_e, and the slots and
+        pattern of the block of the free vertex dofs, numbered first; a fixed vertex
+        takes data slot nnz, read as zero, and block slot nvv.  Then the dofs of the
+        columns of C_e, nvf for a fixed vertex, and the data of the identity."""
+        if "condensation" not in self._plans:
+            plan, nt = self.scatter_plan("uu"), self.mesh.n_triangles
+            nvf = int(np.searchsorted(self.free_dofs, 2 * self.mesh.n_nodes))
+            pos = plan.pos.reshape(nt, 4, 4, 2, 2)  # [e, a, b, c, d], bubble a = 3
+            vv = np.flatnonzero(plan.indices[:plan.indptr[nvf]] < nvf)
+            to_vv = np.full(len(plan.indices) + 1, len(vv))
+            to_vv[vv] = np.arange(len(vv))
+            upd = to_vv[pos[:, :3, :3].transpose(0, 1, 3, 2, 4).reshape(nt, 6, 6)]
+            rows = np.repeat(np.arange(plan.shape[0]), np.diff(plan.indptr))
+            self._plans["condensation"] = (
+                pos[:, 3, 3], pos[:, 3, :3].transpose(0, 2, 1, 3).reshape(nt, 2, 6), upd,
+                vv, plan.indices[vv], np.searchsorted(vv, plan.indptr[:nvf + 1]),
+                np.minimum(self.numbering(True)[0][:, :6], nvf),
+                1.0 * (plan.indices == rows))
+        return self._plans["condensation"]

@@ -196,7 +196,7 @@ def test_condensed_test_rejects_bubble_block_unfactored(monkeypatch):
     op = _StabilityOperator(ProblemConfig(problem=1, n=5))
     data = _block(op, 1.0)
     assert op.positive_definite(data) is not None
-    bubble_blocks = op._condensation[0]
+    bubble_blocks = op.space.condensation()[0]
     data[bubble_blocks[7, 1, 1]] = -1.0  # b11 < 0, so det < 0
     monkeypatch.setattr(analysis, "positive_definite_factor",
                         lambda A: pytest.fail("factored a block with a bad B_e"))
@@ -341,7 +341,7 @@ def test_crossing_factors_its_block_once(monkeypatch):
     op = _StabilityOperator(ProblemConfig(problem=1, n=9))
     limit, trace = _trace_of(op.cfg, 1.0)
     assert trace[-1].load == pytest.approx(14.697, abs=1e-3)
-    schur = op._condense(op.data(trace[-1].load))[3].toarray()
+    schur = analysis._condense(op.space, op.data(trace[-1].load))[3].toarray()
     assert np.array_equal(factored[-1], schur)
     assert not np.array_equal(factored[-2], schur)
 
@@ -693,6 +693,41 @@ def test_convergence_linearity_in_delta_gamma():
         2.0 * base.rows[0].err_p_L2, rel=1e-10)
     assert doubled.rows[0].err_w_H1 == pytest.approx(
         2.0 * base.rows[0].err_w_H1, rel=1e-8)
+
+
+@pytest.mark.parametrize("problem,load", [(1, 7.125), (2, 3.23)])
+def test_saddles_factor_the_condensed_system(monkeypatch, problem, load):
+    # the MINI inf-sup and a convergence row each factor their saddle with the
+    # bubbles eliminated: free vertex dofs plus pressures, and no summed block
+    real, shapes = solvers.ldlt_factor, []
+    recording = lambda A: shapes.append(A.shape) or real(A)  # noqa: E731
+    monkeypatch.setattr(solvers, "ldlt_factor", recording)
+    monkeypatch.setattr(analysis, "ldlt_factor", recording)
+    monkeypatch.setattr(_StabilityOperator, "matrix",
+                        lambda op, gt: pytest.fail("summed the full block"))
+    space = MixedSpace(build_structured_mesh(9), problem=problem)
+    rows = {1: 112, 2: 135}[problem] + space.n_p
+    estimate_inf_sup(space)
+    assert shapes == [(rows, rows)]
+    run_convergence(ProblemConfig(problem=problem, gamma_tilde=load), [9])
+    assert shapes[-1] == (rows, rows) and len(shapes) == 3  # lambda_min at sigma = 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("problem", [1, 2])
+def test_convergence_33_65(monkeypatch, problem):
+    # the condensed saddle, its bubbles recovered, solves the full 65x65 system
+    real, solved = analysis._bubble_solve, []
+    monkeypatch.setattr(analysis, "_bubble_solve",
+                        lambda *args: solved.append(real(*args)) or solved[-1])
+    cfg = ProblemConfig(problem=problem, n=65, gamma_tilde=2.9)
+    assert run_convergence(cfg, [33, 65]).rows[1].order >= 1.9
+    op = _StabilityOperator(cfg)
+    A, B = op.matrix(2.9), assemble_coupling(op.space)
+    F = forms.assemble_load(op.space, analysis.manufactured_load)
+    p, u = solved[-1][:op.space.n_p], solved[-1][op.space.n_p:]
+    residual = np.hypot(np.linalg.norm(A @ u + B.T @ p - F), np.linalg.norm(B @ u))
+    assert residual <= 1e-10 * np.linalg.norm(F)
 
 
 def test_convergence_refuses_unstable():

@@ -1,5 +1,7 @@
 """Eigen-solvers and saddle-point solves against dense oracles."""
 
+import types
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -14,8 +16,8 @@ from stabmix import (MixedSpace, NonSymmetricMatrixError, ProblemConfig,
                      build_structured_mesh, estimate_inf_sup,
                      find_stability_limits, is_stable, manufactured_load,
                      run_convergence, smallest_eigenvalue, solve_saddle)
-from stabmix import solvers
-from stabmix.analysis import _StabilityOperator
+from stabmix import analysis, solvers
+from stabmix.analysis import _condense, _StabilityOperator
 
 
 def random_spd(n, seed, scale=1.0):
@@ -119,7 +121,7 @@ def test_assembled_blocks_across_critical_load(problem, n, gt, classical,
     assert np.sign(lam) == np.sign(lam_condensed) == np.sign(lam_dense) == expect_sign
     assert lam == pytest.approx(lam_dense, rel=1e-8)
     assert lam_condensed == pytest.approx(lam_dense, rel=1e-8)
-    assert (op._condense(data)[-1] > 0) == (classical and expect_sign < 0)
+    assert (_condense(op.space, data)[-1] > 0) == (classical and expect_sign < 0)
 
 
 @pytest.mark.parametrize("A", [[[2.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 1.0]],
@@ -179,22 +181,60 @@ def test_solve_saddle_residual_random_system():
     assert resid <= 1e-10 * scale
 
 
-@pytest.mark.parametrize("problem,n,gt,classical", [
+@pytest.mark.parametrize("problem,n,gt,variant", [
     (1, 9, 7.125, False), (1, 17, 7.125, False),   # convergence saddles
     (2, 9, 3.23, False), (2, 17, 3.23, False),
     (1, 9, 2.0, True),                               # indefinite A
-])
-def test_solve_saddle_matches_default_lu(problem, n, gt, classical):
-    # SuperLU with its default COLAMD order and partial pivoting is the oracle
-    weights = dict(m1=0.0, m2=0.0) if classical else {}
+] + [(problem, n, gt, "condensed") for problem, load in ((1, 7.125), (2, 3.23))
+     for n in (5, 9) for gt in (load, 0.5)])
+def test_solve_saddle_matches_default_lu(monkeypatch, problem, n, gt, variant):
+    # SuperLU with its default COLAMD order and partial pivoting is the oracle.
+    # variant: the stabilized (False) or classical (True) saddle through
+    # solve_saddle, or run_convergence's, the MINI bubbles eliminated element by
+    # element and recovered after its solve ("condensed")
+    weights = dict(m1=0.0, m2=0.0) if variant is True else {}
     op = _StabilityOperator(ProblemConfig(problem=problem, n=n, **weights))
     A, B = op.matrix(gt), assemble_coupling(op.space)
     rhs_u = assemble_load(op.space, manufactured_load)
-    u, p = solve_saddle(SaddleSystem(A, B, rhs_u, np.zeros(op.space.n_p)))
+    n_p = op.space.n_p
+    if variant == "condensed":
+        real, solved = analysis._bubble_solve, []
+        monkeypatch.setattr(analysis, "_bubble_solve",
+                            lambda *args: solved.append(real(*args)) or solved[-1])
+        run_convergence(ProblemConfig(problem=problem, gamma_tilde=gt), [n])
+        p, u = solved[-1][:n_p], solved[-1][n_p:]
+    else:
+        u, p = solve_saddle(SaddleSystem(A, B, rhs_u, np.zeros(n_p)))
     K = sp.bmat([[A, B.T], [B, None]], format="csc")
-    ref = spla.splu(K).solve(np.concatenate([rhs_u, np.zeros(op.space.n_p)]))
+    ref = spla.splu(K).solve(np.concatenate([rhs_u, np.zeros(n_p)]))
     x = np.concatenate([u, p])
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_shift_isolates_lambda_min_from_a_cluster(monkeypatch):
+    # 9x9 problem 1 with M = 0 at gt = 2: 64 eigenvalues lie between the shifts
+    # -535.5 (none below) and -53.5, and the next above lambda_min = -358.875 are
+    # -358.845 and -358.833.  The bisection between those shifts takes one with
+    # lambda_min alone below it, about which Lanczos needs few solves
+    real_shift, real_factor, shifts, solves = (solvers._shift_below_spectrum,
+                                               solvers.ldlt_factor, [], [])
+
+    def factor(A):
+        lu = real_factor(A)
+        return types.SimpleNamespace(perm_r=lu.perm_r, perm_c=lu.perm_c, U=lu.U,
+                                     solve=lambda x: solves.append(1) or lu.solve(x))
+
+    monkeypatch.setattr(solvers, "ldlt_factor", factor)
+    monkeypatch.setattr(solvers, "_shift_below_spectrum",
+                        lambda *args: shifts.append(real_shift(*args)) or shifts[-1])
+    cfg = ProblemConfig(problem=1, n=9, m1=0.0, m2=0.0, gamma_tilde=2.0)
+    lam, stable = is_stable(cfg)
+    w = sla.eigvalsh(_StabilityOperator(cfg).matrix(2.0).toarray())
+    assert not stable and lam == pytest.approx(w[0], rel=1e-10)
+    assert lam == pytest.approx(-358.8746779575307, rel=1e-10)
+    (sigma, _, below), = shifts
+    assert below == 1 and w[0] < sigma <= w[1]
+    assert len(solves) <= 21
 
 
 def test_every_factorization_uses_the_ldlt_order(monkeypatch):
