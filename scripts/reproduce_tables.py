@@ -5,7 +5,7 @@ classical-method check.
 Runs the certified critical-load tables for both model problems, the two
 manufactured-solution convergence studies, the inf-sup estimates of the
 MINI pair and of its bubble-stripped P1/P1 control, and the unstabilized
-sanity probes.  Takes about 3 s on a 2-core machine, about 2 s of it the
+sanity probes.  Takes about 2 s on a 2-core machine, under 1 s of it the
 problem 2 critical loads.  The mesh family defaults to the CLI's.
 
     python3 scripts/reproduce_tables.py [--meshes 5,9,17,33] [--skip-stability]

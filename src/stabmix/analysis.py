@@ -98,6 +98,8 @@ class ProblemConfig:
 # the confirming eigenvalue past a finite crossing
 CertifiedStep = namedtuple("CertifiedStep", "lo hi")
 Crossing = namedtuple("Crossing", "load lam")
+# _condense's parts, the last two those of a saddle, else None
+Condensed = namedtuple("Condensed", "Binv C G schur below saddle_B saddle_C")
 
 
 @dataclass(frozen=True)
@@ -160,14 +162,14 @@ def compute_M0(constants: AbstractConstants) -> float:
 
 def _condense(space: MixedSpace, data, coupling=None):
     """The MINI bubbles of operator data over the "uu" plan eliminated element by
-    element: (B_e^-1, C_e, G_e = B_e^-1 C_e, the vertex Schur complement A_vv - sum_e
-    C_e^T G_e, the B_e's count of negative eigenvalues), or None if a B_e is singular.
-    Given coupling, B as assembled by the "pu" plan and C (or 0), the same of the saddle
-    [[A, B^T], [B, C]]: C_e and G_e gain the columns of B_b,e^T, and B^ = B_v - sum_e
-    B_b,e G_e and C - sum_e B_b,e B_e^-1 B_b,e^T follow."""
-    bb, bv, upd, vv, indices, indptr = space.condensation()[:6]
+    element: Condensed(B_e^-1, C_e, G_e = B_e^-1 C_e, the vertex Schur complement A_vv -
+    sum_e C_e^T G_e, the B_e's count of negative eigenvalues), or None if a B_e is
+    singular.  Given coupling, B as assembled by the "pu" plan and C (or 0), the same of
+    the saddle [[A, B^T], [B, C]]: C_e and G_e gain the columns of B_b,e^T, and saddle_B
+    = B_v - sum_e B_b,e G_e and saddle_C = C - sum_e B_b,e B_e^-1 B_b,e^T follow."""
+    c = space.condensation()
     ext = np.append(data, 0.0)
-    B, C = ext[bb], ext[bv]
+    B, C = ext[c.bb], ext[c.bv]
     det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
     if not np.all((det < 0.0) | (det > 0.0)):  # a zero or NaN determinant
         return None
@@ -180,15 +182,15 @@ def _condense(space: MixedSpace, data, coupling=None):
         Bb = coupling[0].data[pu.pos.reshape(len(B), 3, 8)[:, :, 6:].transpose(0, 2, 1)]
         C = np.concatenate([C, Bb], axis=2)
     U = C.transpose(0, 2, 1) @ (G := Binv @ C)
-    schur = data[vv] - np.bincount(upd.ravel(), weights=U[:, :6, :6].ravel(),
-                                   minlength=len(vv) + 1)[:len(vv)]
-    nvf = len(indptr) - 1
-    parts = Binv, C, G, sp.csr_matrix((schur, indices, indptr), shape=(nvf, nvf)), below
+    schur = data[c.vv] - np.bincount(c.upd.ravel(), weights=U[:, :6, :6].ravel(),
+                                     minlength=len(c.vv) + 1)[:len(c.vv)]
+    nvf = len(c.indptr) - 1
+    schur = sp.csr_matrix((schur, c.indices, c.indptr), shape=(nvf, nvf))
     if coupling is None:
-        return parts
+        return Condensed(Binv, C, G, schur, below, None, None)
     BG = np.pad(U[:, 6:, :6], ((0, 0), (0, 0), (0, 2)))  # B_b,e G_e, none on bubbles
-    return (*parts, (coupling[0] - pu.assemble(BG))[:, :nvf],
-            coupling[1] - pp.assemble(U[:, 6:, 6:]))
+    return Condensed(Binv, C, G, schur, below, (coupling[0] - pu.assemble(BG))[:, :nvf],
+                     coupling[1] - pp.assemble(U[:, 6:, 6:]))
 
 
 def _bubble_solve(Binv, C, G, cols, inner, x):
@@ -232,40 +234,33 @@ class _StabilityOperator:
                              shape=self.plan.shape)
 
     def data(self, gamma_tilde: float):
-        """Data of the block at gamma_tilde, as matrix sums it."""
+        """Data of the block at gamma_tilde, summed in place for a small peak RSS."""
         (Kd, K2), s = self.parts(math.copysign(1.0, gamma_tilde)), abs(gamma_tilde)
-        return self.K0 + s * Kd + s * s * K2
-
-    def matrix(self, gamma_tilde: float) -> sp.csr_matrix:
-        """The block, summed as sparse matrices, which prunes its exact zeros;
-        pruning the summed data instead raised the refine peak RSS by 5 MB."""
-        sign, s = math.copysign(1.0, gamma_tilde), abs(gamma_tilde)
-        Kd, K2 = (self.csr(d) for d in self.parts(sign))
-        return (self.csr(self.K0) + s * Kd + s * s * K2).tocsr()
+        Kd *= s  # K0 + s*Kd + s^2*K2, in that order
+        return np.add(np.add(self.K0, Kd, out=Kd), np.multiply(s * s, K2, out=K2), out=Kd)
 
     def positive_definite(self, data):
         """positive_definite_factor of the vertex Schur complement of block data,
         or None: A > 0 iff it and every B_e are.  A B_e not so returns None unfactored."""
-        parts = _condense(self.space, data)
-        return None if parts is None or parts[4] else positive_definite_factor(parts[3])
+        c = _condense(self.space, data)
+        return None if c is None or c.below else positive_definite_factor(c.schur)
 
-    def factor(self, data, parts=None):
-        """Bubble-condensed LDL^T of block data (or its _condense parts), its solve that
+    def factor(self, data, c=None):
+        """Bubble-condensed LDL^T of block data (or its _condense parts c), its solve that
         of _bubble_solve, and its count of non-positive eigenvalues, the B_e's plus the
         Schur pivots' (Haynsworth), or None if it proves nothing, as a singular B_e."""
-        if (parts := parts or _condense(self.space, data)) is None:
+        if (c := c or _condense(self.space, data)) is None:
             return None, None
-        Binv, C, G, schur, below = parts[:5]
-        lu, nonpositive = factor_with_inertia(schur)
-        solve = functools.partial(_bubble_solve, Binv, C[..., :6], G[..., :6],
-                                  self.space.condensation()[6], lu.solve)
+        lu, nonpositive = factor_with_inertia(c.schur)
+        solve = functools.partial(_bubble_solve, c.Binv, c.C[..., :6], c.G[..., :6],
+                                  self.space.condensation().cols, lu.solve)
         return (types.SimpleNamespace(solve=solve),
-                None if nonpositive is None else below + nonpositive)
+                None if nonpositive is None else c.below + nonpositive)
 
     def lambda_min(self, gamma_tilde: float, at_zero=None) -> float:
         """smallest_eigenvalue of the block on its condensed factorizations; at_zero,
         factor(data) taken already, serves the shift sigma = 0."""
-        data, eye = self.data(gamma_tilde), self.space.condensation()[7]
+        data, eye = self.data(gamma_tilde), self.space.condensation().eye
         return smallest_eigenvalue(self.csr(data), lambda s: at_zero if at_zero and s == 0
                                    else self.factor(data - s * eye))
 
@@ -275,7 +270,7 @@ class _StabilityOperator:
         eps*I, eps = 1e-12*max|S|, and Rayleigh-Ritz (the block doubles until a Ritz value
         is >= eps, and it must be >= 1e3*eps), I pivot rows of a QR of Z^T; or None."""
         S, eps, b = self.csr(self.S), 1e-12 * np.abs(self.S).max(), 16
-        solve = self.factor(self.S + eps * self.space.condensation()[7])[0].solve
+        solve = self.factor(self.S + eps * self.space.condensation().eye)[0].solve
         while b < S.shape[0]:
             Y = np.cos(np.outer(np.arange(1.0, S.shape[0] + 1), np.arange(1.0, b + 1)))
             for _ in range(2):  # 8 columns at a time, for a small peak RSS
@@ -304,7 +299,7 @@ class _StabilityOperator:
         if self.kernel is None or (below or 0) > len(self.kernel[1]):
             return False
         (Z, I), (Kd, K2) = self.kernel, self.parts(sign)
-        eye = self.space.condensation()[7]
+        eye = self.space.condensation().eye
         norm = lambda M: math.sqrt(np.linalg.eigvalsh(M.T @ M)[-1])  # noqa: E731
         K2Z, k, J = self.csr(K2) @ Z, len(I), np.ones(len(Z), bool)
         N, M = norm(K2Z), max(0.0, -np.linalg.eigvalsh(Z.T @ K2Z)[0])  # Z^T K2 Z >= -M
@@ -356,16 +351,17 @@ def _certified_limit(op: _StabilityOperator, sign: float, trace: list) -> float:
     step that does not advance a in floating point raises ArithmeticError.
     """
     tol, cap = BISECT_TOL, GAMMA_CAP
-    Kd, K2 = op.parts(sign)
-    a = 0.0
+    (Kd, K2), a = op.parts(sign), 0.0
     while a < cap:
-        A, dA = op.K0 + a * Kd + a * a * K2, Kd + 2.0 * a * K2  # A(a), A'(a)
+        A, dA = op.data(sign * a), Kd + 2.0 * a * K2  # A(a), A'(a)
         below = op.factor(dA)[1] if a == 0 or op.cfg.m2 > 0 else None  # A'(a)'s
         ray = below == 0  # non-positive eigenvalues, also a bound for the certificate
         if not ray and op.cfg.m2 > 0 and op.kernel_certified(sign, a, below):
             trace.append(CertifiedStep(sign * a, sign * cap))
             return sign * math.inf
-        lu = positive_definite_factor(A_csr := op.matrix(sign * a))
+        A_csr = op.csr(A).copy()  # its exact zeros pruned: factored with them, the
+        A_csr.eliminate_zeros()  # step ends moved by up to 7e-11 relative
+        lu = positive_definite_factor(A_csr)
         if lu is None:  # at a > 0 the previous step proved the contrary
             raise ArithmeticError(f"not positive definite at gamma_tilde = "
                                   f"{sign * a!r} (bisect_tol = {tol:g})")
@@ -427,7 +423,8 @@ def estimate_inf_sup(space: MixedSpace) -> float:
     B, Mp = forms.assemble_coupling(space), forms.assemble_pressure_mass(space)
     sigma, K_V, C = INFSUP_SHIFT, forms.assemble_h1_gram(space), INFSUP_SHIFT * Mp
     if space.include_bubbles:  # the MINI bubbles eliminated: K_V^, B^, sigma*M_p - D
-        *_, K_V, _, B, C = _condense(space, K_V.data, (B, C))
+        parts = _condense(space, K_V.data, (B, C))
+        K_V, B, C = parts.schur, parts.saddle_B, parts.saddle_C
     n_p, n_u = B.shape
     # quasi-definite (K_V and -C SPD): LDL^T exists in any symmetric order
     lu = ldlt_factor(sp.bmat([[K_V, B.T], [B, C]]))
@@ -522,13 +519,13 @@ def run_convergence(cfg: ProblemConfig, meshes) -> ConvergenceTable:
                 f"stabilized block is not positive definite on the {n}x{n} "
                 f"mesh at gamma_tilde = {c.gamma_tilde} "
                 f"(lambda_min = {lam:.6e}); refusing to run convergence")
-        Binv, C, G, A, _, B, Cp = parts
         F = forms.assemble_load(space, manufactured_load, scale=c.delta_gamma)
-        n_p, cols = space.n_p, space.condensation()[6]
+        n_p, cols = space.n_p, space.condensation().cols
         x = _bubble_solve(  # the pressures first, so a fixed vertex's column stays last
-            Binv, C, G, np.hstack([cols + n_p, space.mesh.triangles]),
+            parts.Binv, parts.C, parts.G, np.hstack([cols + n_p, space.mesh.triangles]),
             lambda z: np.concatenate(solve_saddle(SaddleSystem(
-                A, B, z[n_p:], z[:n_p], C=Cp))[::-1]), np.concatenate([np.zeros(n_p), F]))
+                parts.schur, parts.saddle_B, z[n_p:], z[:n_p], C=parts.saddle_C))[::-1]),
+            np.concatenate([np.zeros(n_p), F]))
         vertex_w = np.where(space.free_dofs < 2 * space.mesh.n_nodes, x[n_p:], 0.0)
         err_p, err_w = compute_errors(
             space, vertex_w, x[:n_p],

@@ -14,6 +14,7 @@ point sets are needed.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ from .mesh import TriMesh
 MAX_QUAD_DEGREE = 20
 QUAD_DEGREE = 6  # the assembly rule, see make_quadrature
 BOUNDARY_TOL = 1e-12  # a node within this of x = +-1 or y = -1 is on that side
+Condensation = namedtuple("Condensation", "bb bv upd vv indices indptr cols eye")
 
 # gradients of the barycentric hats with respect to the reference (x, y)
 _P1_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -216,12 +218,12 @@ class MixedSpace:
             self._plans[form, reduced] = ScatterPlan.build(rows, cols, shape)
         return self._plans[form, reduced]
 
-    def condensation(self):
+    def condensation(self) -> Condensation:
         """Slot maps that eliminate the MINI bubbles from an operator of the "uu" plan,
-        built on first use: the slots of B_e, C_e and C_e^T B_e^-1 C_e, and the slots and
-        pattern of the block of the free vertex dofs, numbered first; a fixed vertex
-        takes data slot nnz, read as zero, and block slot nvv.  Then the dofs of the
-        columns of C_e, nvf for a fixed vertex, and the data of the identity."""
+        built on first use: bb, bv and upd, the slots of B_e, C_e and C_e^T B_e^-1 C_e;
+        vv, indices and indptr, the slots and pattern of the free vertex block, numbered
+        first (a fixed vertex takes data slot nnz, read as zero, and block slot nvv);
+        cols, the dofs of C_e's columns, nvf for a fixed vertex; eye, the identity."""
         if "condensation" not in self._plans:
             plan, nt = self.scatter_plan("uu"), self.mesh.n_triangles
             nvf = int(np.searchsorted(self.free_dofs, 2 * self.mesh.n_nodes))
@@ -231,7 +233,7 @@ class MixedSpace:
             to_vv[vv] = np.arange(len(vv))
             upd = to_vv[pos[:, :3, :3].transpose(0, 1, 3, 2, 4).reshape(nt, 6, 6)]
             rows = np.repeat(np.arange(plan.shape[0]), np.diff(plan.indptr))
-            self._plans["condensation"] = (
+            self._plans["condensation"] = Condensation(
                 pos[:, 3, 3], pos[:, 3, :3].transpose(0, 2, 1, 3).reshape(nt, 2, 6), upd,
                 vv, plan.indices[vv], np.searchsorted(vv, plan.indptr[:nvf + 1]),
                 np.minimum(self.numbering(True)[0][:, :6], nvf),

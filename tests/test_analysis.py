@@ -98,6 +98,92 @@ def _dense_lambda_min(A):
     return np.linalg.eigvalsh(A.toarray())[0]
 
 
+class FullBlock:
+    """A(gt) = K0 + s*Kd + s^2*K2, s = |gt|, of one configuration and its derivative
+    along s, summed as sparse matrices from forms.elastic_parts and
+    forms.assemble_divdiv alone: no _StabilityOperator, no bubble condensation."""
+
+    def __init__(self, cfg):
+        space = MixedSpace(build_structured_mesh(cfg.n), problem=cfg.problem)
+        self.E2, self.R = forms.elastic_parts(space)
+        self.S, self.cfg = forms.assemble_divdiv(space), cfg
+
+    def parts(self, gt):
+        """K0, Kd and K2 in the loading direction of gt."""
+        cfg = self.cfg
+        return (cfg.mu * self.E2, -math.copysign(cfg.mu, gt) * self.R + cfg.m1 * self.S,
+                cfg.m2 * self.S)
+
+    def __call__(self, gt):
+        K0, Kd, K2 = self.parts(gt)
+        return (K0 + abs(gt) * Kd + gt * gt * K2).tocsr()
+
+    def derivative(self, gt):
+        _, Kd, K2 = self.parts(gt)
+        return (Kd + 2.0 * abs(gt) * K2).tocsr()
+
+
+# the loads at which a kernel-certificate step is sampled: 0 and a geometric grid
+KERNEL_GRID = np.concatenate([[0.0], np.geomspace(1e-2, analysis.GAMMA_CAP, 199)])
+
+
+def check_certificate(cfg, report):
+    """Re-prove every entry of report.trace on FullBlock(cfg), independent of the
+    search: each positive-definiteness verdict is one full LDL^T
+    (solvers.factor_with_inertia) and, for n <= 9, also a dense eigvalsh.
+
+    - In each direction the steps tile [0, gamma] with no gap and no overlap (up to
+      the cap or infinity if gamma is infinite), and a finite gamma is followed by
+      its one crossing.
+    - A step [a, b] is proved by its tangent T(s) = A(a) + (s - a)*A'(a) at both
+      ends: with K2 = m2*S >= 0 (checked densely for n <= 9), convexity gives
+      A(s) >= T(s) > 0 on [a, b].  A ray [a, inf) by A(a) > 0 and A'(a) > 0.
+    - A step that ends at the cap past a failing tangent, a kernel certificate's,
+      is sampled at the KERNEL_GRID loads in it (the dense kernel forms drop terms).
+    - A crossing by a negative lambda_min of the full block at gamma + BISECT_TOL
+      from smallest_eigenvalue's general path, which the recorded one matches.
+    """
+    block, dense = FullBlock(cfg), cfg.n <= 9
+    tol, cap = analysis.BISECT_TOL, analysis.GAMMA_CAP
+    if dense:
+        S = block.S.toarray()
+        assert cfg.m2 >= 0.0 and np.linalg.eigvalsh(S)[0] >= -1e-12 * np.abs(S).max()
+
+    def positive_definite(A):
+        return (solvers.factor_with_inertia(A)[1] == 0
+                and (not dense or _dense_lambda_min(A) > 0.0))
+
+    def direction(e):
+        return math.copysign(1.0, e.lo if isinstance(e, CertifiedStep) else e.load)
+
+    positive = [e for e in report.trace if direction(e) > 0]
+    assert list(report.trace) == positive + [e for e in report.trace if direction(e) < 0]
+    for sign, gamma in ((1.0, report.gamma_M), (-1.0, report.gamma_m)):
+        entries = [e for e in report.trace if direction(e) == sign]
+        steps = [e for e in entries if isinstance(e, CertifiedStep)]
+        assert steps and steps[0].lo == 0.0, "the steps do not start at 0"
+        assert all(sign * (s.hi - s.lo) > 0.0 for s in steps), "a step does not advance"
+        assert all(s.hi == t.lo for s, t in zip(steps, steps[1:])), "a gap or an overlap"
+        for s in steps:
+            a, b = abs(s.lo), abs(s.hi)
+            assert positive_definite(block(s.lo)), f"A at the start of {s}"
+            if math.isinf(b):
+                assert positive_definite(block.derivative(s.lo)), f"A' on the ray {s}"
+            elif not positive_definite(block(s.lo) + (b - a) * block.derivative(s.lo)):
+                assert b == cap, f"the tangent of {s} at its end"
+                for load in KERNEL_GRID[(KERNEL_GRID > a) & (KERNEL_GRID <= b)]:
+                    assert positive_definite(block(sign * load)), f"A at {load} in {s}"
+        if math.isinf(gamma):
+            assert entries == steps and abs(steps[-1].hi) in (math.inf, cap)
+            continue
+        crossing = entries[-1]
+        assert isinstance(crossing, Crossing) and entries == steps + [crossing]
+        assert steps[-1].hi == gamma
+        assert crossing.load == sign * min(abs(gamma) + tol, cap)
+        lam = solvers.smallest_eigenvalue(block(crossing.load))
+        assert lam < 0.0 and lam == pytest.approx(crossing.lam, rel=1e-6)
+
+
 @pytest.mark.parametrize("weights", [{}, {"m1": 0.0, "m2": 0.0}],
                          ids=["stabilized", "classical"])
 @pytest.mark.parametrize("problem", [1, 2])
@@ -105,46 +191,51 @@ def _dense_lambda_min(A):
 def test_limits_match_dense_oracle(n, problem, weights):
     cfg = ProblemConfig(problem=problem, n=n, **weights)
     rep = find_stability_limits(cfg)
-    op = _StabilityOperator(cfg)
-    E2, R = forms.elastic_parts(op.space)
-    S = forms.assemble_divdiv(op.space)
-    tol = analysis.BISECT_TOL
+    check_certificate(cfg, rep)
+    block, tol = FullBlock(cfg), analysis.BISECT_TOL
     for sign, gamma in ((1.0, rep.gamma_M), (-1.0, rep.gamma_m)):
         g = abs(gamma)
         if math.isfinite(g):
-            assert _dense_lambda_min(op.matrix(sign * g)) > 0.0
-            assert _dense_lambda_min(op.matrix(sign * (g + tol))) < 0.0
-            grid = np.linspace(0.0, g, 200)
-        else:  # unbounded: stable at every scale up to the cap
-            grid = np.concatenate([[0.0],
-                                   np.geomspace(1e-2, analysis.GAMMA_CAP, 199)])
-        assert all(_dense_lambda_min(op.matrix(sign * s)) > 0.0 for s in grid)
+            assert _dense_lambda_min(block(sign * g)) > 0.0
+            assert _dense_lambda_min(block(sign * (g + tol))) < 0.0
         if cfg.m2 == 0.0:
             # A(s) = K0 + s*Kd is linear: singular first at s = 1/theta_max
-            Kd = -sign * cfg.mu * R + cfg.m1 * S
-            theta = sla.eigh(-Kd.toarray(), cfg.mu * E2.toarray(),
-                             eigvals_only=True)[-1]
+            K0, Kd, _ = block.parts(sign)
+            theta = sla.eigh(-Kd.toarray(), K0.toarray(), eigvals_only=True)[-1]
             if theta * analysis.GAMMA_CAP > 1.0:
                 assert g == pytest.approx(1.0 / theta, abs=tol)
             else:
                 assert g == math.inf
-    # a ray proof rests on A(a) > 0 and A'(a) > 0: check the second through
-    # the pencil A'(a) x = lambda K0 x
-    rays = [e for e in rep.trace if isinstance(e, CertifiedStep) and math.isinf(e.hi)]
-    for ray in rays:
-        sign, a = math.copysign(1.0, ray.hi), abs(ray.lo)
-        Kd, K2 = op.parts(sign)
-        dA = op.csr(Kd + 2.0 * a * K2)
-        assert sla.eigh(dA.toarray(), op.csr(op.K0).toarray(),
-                        eigvals_only=True)[0] > 0.0
     if problem == 1 and not weights:  # unbounded below, by a ray proof
-        assert rays and rays[-1].hi == -math.inf
+        assert rep.trace[-1] == CertifiedStep(-0.0, -math.inf)
 
 
-def _block(op, gt):
-    """Data of A(gt), summed as the search sums it."""
-    Kd, K2 = op.parts(math.copysign(1.0, gt))
-    return op.K0 + abs(gt) * Kd + gt * gt * K2
+@pytest.mark.parametrize("weights", [{}, {"m1": 0.0, "m2": 0.0}],
+                         ids=["stabilized", "classical"])
+@pytest.mark.parametrize("problem", [1, 2])
+@pytest.mark.parametrize("n", [17, pytest.param(33, marks=pytest.mark.slow)])
+def test_headline_loads_certified(n, problem, weights):
+    # the larger meshes of the paper's critical-load tables, re-proved
+    cfg = ProblemConfig(problem=problem, n=n, **weights)
+    check_certificate(cfg, find_stability_limits(cfg))
+
+
+def test_certificate_check_catches_faults():
+    cfg = ProblemConfig(problem=1, n=9)
+    rep = find_stability_limits(cfg)
+    check_certificate(cfg, rep)
+    *steps, crossing, ray = rep.trace
+    tol = analysis.BISECT_TOL
+    # the last step run one BISECT_TOL on, past the crossing it stopped before
+    last = CertifiedStep(steps[-1].lo, steps[-1].hi + tol)
+    past = replace(rep, gamma_M=last.hi, trace=(
+        *steps[:-1], last, Crossing(crossing.load + tol, crossing.lam), ray))
+    with pytest.raises(AssertionError, match="tangent"):
+        check_certificate(cfg, past)
+    # the first step shortened, which leaves a gap before the second
+    gap = replace(rep, trace=(steps[0]._replace(hi=steps[0].hi - 1.0), *rep.trace[1:]))
+    with pytest.raises(AssertionError, match="gap"):
+        check_certificate(cfg, gap)
 
 
 def _pd_pairs(op, trace):
@@ -156,7 +247,7 @@ def _pd_pairs(op, trace):
         if isinstance(e, Crossing):
             sign, g = math.copysign(1.0, e.load), abs(e.load) - analysis.BISECT_TOL
             for d in eps + (analysis.BISECT_TOL,):
-                yield f"A({sign * (g + d)!r})", _block(op, sign * (g + d))
+                yield f"A({sign * (g + d)!r})", op.data(sign * (g + d))
             continue
         sign, lo = math.copysign(1.0, e.hi), abs(e.lo)
         Kd, K2 = op.parts(sign)
@@ -166,9 +257,9 @@ def _pd_pairs(op, trace):
             continue
         t = abs(e.hi) - lo
         for f in (1.0, 1.01, 2.0):
-            yield f"tangent {e.lo!r} + {f}*{t!r}", _block(op, e.lo) + f * t * dA
+            yield f"tangent {e.lo!r} + {f}*{t!r}", op.data(e.lo) + f * t * dA
         for d in eps:
-            yield f"A({e.hi * (1.0 + d)!r})", _block(op, e.hi * (1.0 + d))
+            yield f"A({e.hi * (1.0 + d)!r})", op.data(e.hi * (1.0 + d))
 
 
 @pytest.mark.parametrize("weights", [{}, {"m1": 0.0, "m2": 0.0}],
@@ -194,9 +285,9 @@ def test_condensed_verdicts_match_full(n, problem, weights):
 
 def test_condensed_test_rejects_bubble_block_unfactored(monkeypatch):
     op = _StabilityOperator(ProblemConfig(problem=1, n=5))
-    data = _block(op, 1.0)
+    data = op.data(1.0)
     assert op.positive_definite(data) is not None
-    bubble_blocks = op.space.condensation()[0]
+    bubble_blocks = op.space.condensation().bb
     data[bubble_blocks[7, 1, 1]] = -1.0  # b11 < 0, so det < 0
     monkeypatch.setattr(analysis, "positive_definite_factor",
                         lambda A: pytest.fail("factored a block with a bad B_e"))
@@ -314,13 +405,13 @@ def test_kernel_certificate_refuses_unsound_claims():
     # 9x9 problem 2 is unstable from gamma_M = 3.86 to about 1884 in the
     # positive direction, so no certificate from a below that may pass
     op = _StabilityOperator(ProblemConfig(problem=2, n=9))
-    assert _dense_lambda_min(op.matrix(1500.0)) < 0.0
+    assert _dense_lambda_min(op.csr(op.data(1500.0))) < 0.0
     assert not any(op.kernel_certified(1.0, a)
                    for a in (0.0, 3.0, 3.9, 10.0, 100.0, 1000.0, 1500.0))
     # with m2 = 0.1, 5x5 problem 2 is unstable past gamma_m = -373.1 up to the
     # cap: L > 0 at u = 1/a, and only the test at u = 1/GAMMA_CAP refuses
     weak = _StabilityOperator(ProblemConfig(problem=2, n=5, m2=0.1))
-    assert _dense_lambda_min(weak.matrix(-1e6)) < 0.0
+    assert _dense_lambda_min(weak.csr(weak.data(-1e6))) < 0.0
     assert not any(weak.kernel_certified(-1.0, a) for a in (0.0, 10.0, 100.0))
     # the margins follow the basis's residuals: roundoff passes, an error of
     # 1e-6, far beyond what they cover, is refused
@@ -341,18 +432,24 @@ def test_crossing_factors_its_block_once(monkeypatch):
     op = _StabilityOperator(ProblemConfig(problem=1, n=9))
     limit, trace = _trace_of(op.cfg, 1.0)
     assert trace[-1].load == pytest.approx(14.697, abs=1e-3)
-    schur = analysis._condense(op.space, op.data(trace[-1].load))[3].toarray()
+    schur = analysis._condense(op.space, op.data(trace[-1].load)).schur.toarray()
     assert np.array_equal(factored[-1], schur)
     assert not np.array_equal(factored[-2], schur)
 
 
 def test_verdicts_build_no_full_block(monkeypatch):
     # a verdict takes lambda_min from block data on its bubble-condensed
-    # factorization: it never sums the block as sparse matrices
-    monkeypatch.setattr(_StabilityOperator, "matrix",
-                        lambda op, gt: pytest.fail("summed the full block"))
-    assert is_stable(ProblemConfig(problem=2, n=9, gamma_tilde=3.0))[1]
-    assert not is_stable(ProblemConfig(problem=1, n=9, gamma_tilde=15.0))[1]
+    # factorization: every factorization has the size of the free vertex block
+    real, shapes = solvers.ldlt_factor, []
+    monkeypatch.setattr(solvers, "ldlt_factor",
+                        lambda A: shapes.append(A.shape) or real(A))
+    for problem, gt, stable in ((2, 3.0, True), (1, 15.0, False)):
+        cfg = ProblemConfig(problem=problem, n=9, gamma_tilde=gt)
+        assert is_stable(cfg)[1] == stable
+        space = _StabilityOperator(cfg).space
+        nvf = len(space.condensation().indptr) - 1
+        assert nvf < len(space.free_dofs) and set(shapes) == {(nvf, nvf)}
+        shapes.clear()
 
 
 def test_stable_set_is_not_an_interval():
@@ -362,7 +459,7 @@ def test_stable_set_is_not_an_interval():
     op = _StabilityOperator(cfg)
     for gt, stable in ((10.0, False), (1e2, False), (1e3, False),
                        (1e4, True), (1e5, True), (1e6, True)):
-        assert (positive_definite_factor(op.matrix(gt)) is not None) == stable
+        assert (positive_definite_factor(op.csr(op.data(gt))) is not None) == stable
     assert find_stability_limits(cfg).gamma_M == pytest.approx(3.858, abs=0.01)
     lam, ok = is_stable(replace(cfg, gamma_tilde=1e5))
     assert ok and lam > 0.0
@@ -698,19 +795,19 @@ def test_convergence_linearity_in_delta_gamma():
 @pytest.mark.parametrize("problem,load", [(1, 7.125), (2, 3.23)])
 def test_saddles_factor_the_condensed_system(monkeypatch, problem, load):
     # the MINI inf-sup and a convergence row each factor their saddle with the
-    # bubbles eliminated: free vertex dofs plus pressures, and no summed block
+    # bubbles eliminated, free vertex dofs plus pressures, and lambda_min at
+    # sigma = 0 the free vertex block: no factorization is larger
     real, shapes = solvers.ldlt_factor, []
     recording = lambda A: shapes.append(A.shape) or real(A)  # noqa: E731
     monkeypatch.setattr(solvers, "ldlt_factor", recording)
     monkeypatch.setattr(analysis, "ldlt_factor", recording)
-    monkeypatch.setattr(_StabilityOperator, "matrix",
-                        lambda op, gt: pytest.fail("summed the full block"))
     space = MixedSpace(build_structured_mesh(9), problem=problem)
-    rows = {1: 112, 2: 135}[problem] + space.n_p
+    nvf = {1: 112, 2: 135}[problem]
+    rows = nvf + space.n_p
     estimate_inf_sup(space)
     assert shapes == [(rows, rows)]
     run_convergence(ProblemConfig(problem=problem, gamma_tilde=load), [9])
-    assert shapes[-1] == (rows, rows) and len(shapes) == 3  # lambda_min at sigma = 0
+    assert shapes[1:] == [(nvf, nvf), (rows, rows)]
 
 
 @pytest.mark.slow
@@ -723,7 +820,7 @@ def test_convergence_33_65(monkeypatch, problem):
     cfg = ProblemConfig(problem=problem, n=65, gamma_tilde=2.9)
     assert run_convergence(cfg, [33, 65]).rows[1].order >= 1.9
     op = _StabilityOperator(cfg)
-    A, B = op.matrix(2.9), assemble_coupling(op.space)
+    A, B = op.csr(op.data(2.9)), assemble_coupling(op.space)
     F = forms.assemble_load(op.space, analysis.manufactured_load)
     p, u = solved[-1][:op.space.n_p], solved[-1][op.space.n_p:]
     residual = np.hypot(np.linalg.norm(A @ u + B.T @ p - F), np.linalg.norm(B @ u))
@@ -759,7 +856,7 @@ def test_stabilization_parameter_values():
         E2, R = forms.elastic_parts(op.space)
         S = forms.assemble_divdiv(op.space)
         for gt, M in loads:
-            A = op.matrix(gt)
+            A = op.csr(op.data(gt))
             ref = cfg.mu * E2 - cfg.mu * gt * R + M * S
             assert abs(A - ref.tocsr()).max() <= 1e-12 * abs(A).max()
 
@@ -770,14 +867,14 @@ def test_operator_matrix_affine_pieces():
     E2, R = forms.elastic_parts(op.space)
     S = forms.assemble_divdiv(op.space)
     for gt in (1.5, -1.5, 0.0):
-        A = op.matrix(gt)
+        A = op.csr(op.data(gt))
         M = 320.0 * abs(gt) + 1.36 * gt ** 2
         ref = cfg.mu * E2 - cfg.mu * gt * R + M * S
         assert abs(A - ref.tocsr()).max() <= 1e-12 * abs(A).max()
         # the derivative along |gt|: a one-sided difference exact on quadratics
         sign, s = math.copysign(1.0, gt), abs(gt)
-        fd = (4.0 * op.matrix(sign * (s + 1.0)) - 3.0 * op.matrix(sign * s)
-              - op.matrix(sign * (s + 2.0))) / 2.0
+        fd = (4.0 * op.csr(op.data(sign * (s + 1.0))) - 3.0 * op.csr(op.data(sign * s))
+              - op.csr(op.data(sign * (s + 2.0)))) / 2.0
         Kd, K2 = op.parts(sign)
         dA = op.csr(Kd + 2.0 * s * K2)
         assert abs(fd - dA).max() <= 1e-8 * abs(dA).max()

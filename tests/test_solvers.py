@@ -115,13 +115,14 @@ def test_assembled_blocks_across_critical_load(problem, n, gt, classical,
     # are indefinite, and their inertia sends the shift search below zero
     weights = dict(m1=0.0, m2=0.0) if classical else {}
     op = _StabilityOperator(ProblemConfig(problem=problem, n=n, **weights))
-    A, data = op.matrix(gt), op.data(gt)
+    data = op.data(gt)
+    A = op.csr(data)
     lam_dense = sla.eigvalsh(A.toarray())[0]
     lam, lam_condensed = smallest_eigenvalue(A), op.lambda_min(gt)
     assert np.sign(lam) == np.sign(lam_condensed) == np.sign(lam_dense) == expect_sign
     assert lam == pytest.approx(lam_dense, rel=1e-8)
     assert lam_condensed == pytest.approx(lam_dense, rel=1e-8)
-    assert (_condense(op.space, data)[-1] > 0) == (classical and expect_sign < 0)
+    assert (_condense(op.space, data).below > 0) == (classical and expect_sign < 0)
 
 
 @pytest.mark.parametrize("A", [[[2.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 1.0]],
@@ -143,7 +144,8 @@ def test_unstable_verdict_factors_once(monkeypatch, problem, gt):
     lam, stable = is_stable(cfg)
     # of the vertex Schur complement, the MINI bubbles condensed out
     assert not stable and [A.shape for A in calls] == [({1: 112, 2: 135}[problem],) * 2]
-    lam_dense = sla.eigvalsh(_StabilityOperator(cfg).matrix(gt).toarray())
+    op = _StabilityOperator(cfg)
+    lam_dense = sla.eigvalsh(op.csr(op.data(gt)).toarray())
     assert lam_dense[0] < 0.0 < lam_dense[1]
     assert lam == pytest.approx(lam_dense[0], rel=1e-10)
 
@@ -194,7 +196,7 @@ def test_solve_saddle_matches_default_lu(monkeypatch, problem, n, gt, variant):
     # element and recovered after its solve ("condensed")
     weights = dict(m1=0.0, m2=0.0) if variant is True else {}
     op = _StabilityOperator(ProblemConfig(problem=problem, n=n, **weights))
-    A, B = op.matrix(gt), assemble_coupling(op.space)
+    A, B = op.csr(op.data(gt)), assemble_coupling(op.space)
     rhs_u = assemble_load(op.space, manufactured_load)
     n_p = op.space.n_p
     if variant == "condensed":
@@ -229,7 +231,8 @@ def test_shift_isolates_lambda_min_from_a_cluster(monkeypatch):
                         lambda *args: shifts.append(real_shift(*args)) or shifts[-1])
     cfg = ProblemConfig(problem=1, n=9, m1=0.0, m2=0.0, gamma_tilde=2.0)
     lam, stable = is_stable(cfg)
-    w = sla.eigvalsh(_StabilityOperator(cfg).matrix(2.0).toarray())
+    op = _StabilityOperator(cfg)
+    w = sla.eigvalsh(op.csr(op.data(2.0)).toarray())
     assert not stable and lam == pytest.approx(w[0], rel=1e-10)
     assert lam == pytest.approx(-358.8746779575307, rel=1e-10)
     (sigma, _, below), = shifts
