@@ -15,14 +15,14 @@ eigenvalue problem", SIAM Rev. 43, 2001).  The critical loads are found by
 tangent steps outward from gt = 0.  One LDL^T positive-definiteness test of
 the tangent A(a) + (b - a)*A'(a) proves A > 0 on [a, b], as a linear pencil
 positive definite at both ends is so between them; with A(a) > 0, one of
-A'(a) proves A > 0 on the whole ray [a, inf).  Each such test, and each
-lambda_min of a verdict, factors A - sigma*I with the MINI bubbles condensed
-out element by element: its inertia is the 2x2 bubble blocks' plus the vertex
-Schur complement's, a third of the size (Haynsworth's inertia additivity,
-Linear Algebra Appl. 1, 1968).  Eigen-solves only propose step lengths, so
-their tolerances cannot make a verdict wrong; a Lanczos proposal that needs
-more than LANCZOS_RESTARTS restarts is the cap.  With m2 > 0 a certificate on
-ker S, where A(s)/s^2 -> m2*S is singular, closes the tail up to GAMMA_CAP.
+A'(a) proves A > 0 on the whole ray [a, inf).  Each such test, whose solves also
+serve the step proposals, and each lambda_min of a verdict factor A - sigma*I with
+the MINI bubbles condensed out element by element: its inertia is the 2x2 bubble
+blocks' plus the vertex Schur complement's, a third of the size (Haynsworth's
+inertia additivity, Linear Algebra Appl. 1, 1968).  Eigen-solves only propose step
+lengths, so their tolerances cannot make a verdict wrong; a Lanczos proposal that
+needs more than LANCZOS_RESTARTS restarts is the cap.  With m2 > 0 a certificate
+on ker S, where A(s)/s^2 -> m2*S is singular, closes the tail up to GAMMA_CAP.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import scipy.sparse.linalg as spla
 from . import forms
 from .mesh import build_structured_mesh
 from .solvers import (LANCZOS_TOL, SaddleSystem, factor_with_inertia, ldlt_factor,
-                      positive_definite_factor, smallest_eigenvalue, solve_saddle)
+                      smallest_eigenvalue, solve_saddle)
 from .spaces import MixedSpace
 
 # inf-sup eigenvalues below KERNEL_RTOL * INFSUP_BOUND are kernel modes; none
@@ -239,12 +239,6 @@ class _StabilityOperator:
         Kd *= s  # K0 + s*Kd + s^2*K2, in that order
         return np.add(np.add(self.K0, Kd, out=Kd), np.multiply(s * s, K2, out=K2), out=Kd)
 
-    def positive_definite(self, data):
-        """positive_definite_factor of the vertex Schur complement of block data,
-        or None: A > 0 iff it and every B_e are.  A B_e not so returns None unfactored."""
-        c = _condense(self.space, data)
-        return None if c is None or c.below else positive_definite_factor(c.schur)
-
     def factor(self, data, c=None):
         """Bubble-condensed LDL^T of block data (or its _condense parts c), its solve that
         of _bubble_solve, and its count of non-positive eigenvalues, the B_e's plus the
@@ -343,12 +337,12 @@ def _certified_limit(op: _StabilityOperator, sign: float, trace: list) -> float:
 
     At each a, a ray test returns sign*inf if A'(a) > 0 (with m2 = 0 at a = 0
     only), and with m2 > 0 the kernel certificate ends it with the step (a, cap).
-    Else the largest eigenvalue theta of -A'(a) x = theta A(a) x proposes
-    0.999/theta (the cap if theta <= 0 or Lanczos does not converge within
-    LANCZOS_RESTARTS restarts), halved until the tangent passes.  After a step of
-    at most BISECT_TOL, a failed test at a + BISECT_TOL ends the search at a, once
-    smallest_eigenvalue confirms lambda < 0 there on the same factorization.  A
-    step that does not advance a in floating point raises ArithmeticError.
+    Else the largest eigenvalue theta of -A'(a) x = theta A(a) x, by Lanczos on
+    the solves of A(a)'s factor, proposes 0.999/theta (the cap if theta <= 0 or it
+    does not converge within LANCZOS_RESTARTS restarts), halved until the tangent
+    passes.  After a step of at most BISECT_TOL, a failed test at a + BISECT_TOL
+    ends the search at a, once smallest_eigenvalue confirms lambda < 0 there on the
+    same factorization.  A step that does not advance a raises ArithmeticError.
     """
     tol, cap = BISECT_TOL, GAMMA_CAP
     (Kd, K2), a = op.parts(sign), 0.0
@@ -359,28 +353,24 @@ def _certified_limit(op: _StabilityOperator, sign: float, trace: list) -> float:
         if not ray and op.cfg.m2 > 0 and op.kernel_certified(sign, a, below):
             trace.append(CertifiedStep(sign * a, sign * cap))
             return sign * math.inf
-        A_csr = op.csr(A).copy()  # its exact zeros pruned: factored with them, the
-        A_csr.eliminate_zeros()  # step ends moved by up to 7e-11 relative
-        lu = positive_definite_factor(A_csr)
-        if lu is None:  # at a > 0 the previous step proved the contrary
+        f, nonpositive = op.factor(A)
+        if nonpositive != 0:  # at a > 0 the previous step proved the contrary
             raise ArithmeticError(f"not positive definite at gamma_tilde = "
                                   f"{sign * a!r} (bisect_tol = {tol:g})")
         if ray:  # A(s) >= A(a) + (s - a)*A'(a) > 0 for every s >= a
             trace.append(CertifiedStep(sign * a, sign * math.inf))
             return sign * math.inf
-        minv = spla.LinearOperator(A_csr.shape, matvec=lu.solve, dtype=float)
+        M = op.csr(A)
+        minv = spla.LinearOperator(M.shape, matvec=f.solve, dtype=float)
         try:
             theta = float(spla.eigsh(
-                -op.csr(dA), k=1, M=A_csr, Minv=minv, which="LA", tol=1e-3,
-                maxiter=LANCZOS_RESTARTS, v0=np.ones(A_csr.shape[0]),
+                -op.csr(dA), k=1, M=M, Minv=minv, which="LA", tol=1e-3,
+                maxiter=LANCZOS_RESTARTS, v0=np.ones(M.shape[0]),
                 return_eigenvectors=False)[0])
         except spla.ArpackNoConvergence:
             theta = 0.0  # no proposal: the cap, halved
-        # freed before the next factorizations: factors alive across them
-        # fragmented the heap, raising the tables' peak RSS by about 12 MB
-        del lu, minv, A_csr
         t = cap - a if theta <= 0.0 else min(0.999 / theta, cap - a)
-        while a + t > a and op.positive_definite(A + t * dA) is None:
+        while a + t > a and op.factor(A + t * dA)[1] != 0:
             t *= 0.5
         if not a + t > a:  # theta NaN, or t below the resolution of a
             raise ArithmeticError(f"no step advances gamma_tilde = {sign * a!r} "

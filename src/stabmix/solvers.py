@@ -82,14 +82,6 @@ def factor_with_inertia(A):
     return lu, int(np.count_nonzero(~(lu.U.diagonal() > 0.0)))
 
 
-def positive_definite_factor(A):
-    """Sparse LDL^T factorization of symmetric A if it proves A positive
-    definite, else None: positive pivots prove positive definiteness, and
-    a factorization that proves nothing counts as not positive definite."""
-    lu, nonpositive = factor_with_inertia(A)
-    return lu if nonpositive == 0 else None
-
-
 def _shift_below_spectrum(A, shifted):
     """Shift sigma <= 0 with at most one eigenvalue of A below it, the
     factorization shifted(sigma) and the count (0 or 1) of those eigenvalues.

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,6 @@ from stabmix import analysis, forms, solvers
 from stabmix.analysis import (KERNEL_RTOL, CertifiedStep, Crossing,
                               _StabilityOperator)
 from stabmix.mesh import TriMesh
-from stabmix.solvers import positive_definite_factor
 from stabmix.spaces import make_quadrature
 
 
@@ -123,8 +123,17 @@ class FullBlock:
         return (Kd + 2.0 * abs(gt) * K2).tocsr()
 
 
-# the loads at which a kernel-certificate step is sampled: 0 and a geometric grid
+# loads at which a kernel-certificate step is sampled for n > 9: 0 and a geometric grid
 KERNEL_GRID = np.concatenate([[0.0], np.geomspace(1e-2, analysis.GAMMA_CAP, 199)])
+
+
+def _quadratic_roots(K0, Kd, K2):
+    """The finite s with det(K0 + s*Kd + s^2*K2) = 0: dense eigenvalues of the
+    companion pencil [[0, I], [-K0, -Kd]] - s*[[I, 0], [0, K2]]."""
+    K0, Kd, K2 = (M.toarray() for M in (K0, Kd, K2))
+    I, O = np.eye(len(K0)), np.zeros_like(K0)
+    s = sla.eigvals(np.block([[O, I], [-K0, -Kd]]), np.block([[I, O], [O, K2]]))
+    return s[np.isfinite(s)]
 
 
 def check_certificate(cfg, report):
@@ -138,8 +147,10 @@ def check_certificate(cfg, report):
     - A step [a, b] is proved by its tangent T(s) = A(a) + (s - a)*A'(a) at both
       ends: with K2 = m2*S >= 0 (checked densely for n <= 9), convexity gives
       A(s) >= T(s) > 0 on [a, b].  A ray [a, inf) by A(a) > 0 and A'(a) > 0.
-    - A step that ends at the cap past a failing tangent, a kernel certificate's,
-      is sampled at the KERNEL_GRID loads in it (the dense kernel forms drop terms).
+    - A step [a, cap] past a failing tangent, a kernel certificate's, is proved for
+      n <= 9 by A(a) > 0 and no root of det A(s) within 1e-6 relative of [a, cap]:
+      an eigenvalue of A(s) that crossed 0 would be one.  For n > 9 it is sampled
+      at the KERNEL_GRID loads in it (the dense kernel forms drop terms).
     - A crossing by a negative lambda_min of the full block at gamma + BISECT_TOL
       from smallest_eigenvalue's general path, which the recorded one matches.
     """
@@ -171,6 +182,12 @@ def check_certificate(cfg, report):
                 assert positive_definite(block.derivative(s.lo)), f"A' on the ray {s}"
             elif not positive_definite(block(s.lo) + (b - a) * block.derivative(s.lo)):
                 assert b == cap, f"the tangent of {s} at its end"
+                if dense:  # the distance of each root from [a, cap]
+                    roots = _quadratic_roots(*block.parts(sign))
+                    near = np.sort_complex(
+                        roots[abs(roots - np.clip(roots.real, a, b)) <= 1e-6 * abs(roots)])
+                    assert not near.size, f"a root {near} of det A in {s}"
+                    continue
                 for load in KERNEL_GRID[(KERNEL_GRID > a) & (KERNEL_GRID <= b)]:
                     assert positive_definite(block(sign * load)), f"A at {load} in {s}"
         if math.isinf(gamma):
@@ -236,6 +253,13 @@ def test_certificate_check_catches_faults():
     gap = replace(rep, trace=(steps[0]._replace(hi=steps[0].hi - 1.0), *rep.trace[1:]))
     with pytest.raises(AssertionError, match="gap"):
         check_certificate(cfg, gap)
+    # a kernel-certificate step claimed across 5x5 problem 2's critical load 7.217
+    cfg = ProblemConfig(problem=2, n=5)
+    rep = find_stability_limits(cfg)
+    claim = replace(rep, gamma_M=math.inf, trace=(
+        CertifiedStep(0.0, analysis.GAMMA_CAP), rep.trace[-1]))
+    with pytest.raises(AssertionError, match=r"root \[ *7\.217"):
+        check_certificate(cfg, claim)
 
 
 def _pd_pairs(op, trace):
@@ -276,24 +300,26 @@ def test_condensed_verdicts_match_full(n, problem, weights):
              if isinstance(e, Crossing) or abs(e.lo) < 1e3]
     seen = set()
     for name, data in _pd_pairs(op, trace):
-        full = positive_definite_factor(op.csr(data)) is not None
-        assert (op.positive_definite(data) is not None) == full, name
+        full = solvers.factor_with_inertia(op.csr(data))[1] == 0
+        assert (op.factor(data)[1] == 0) == full, name
         seen.add(full)
     # loads on both sides of every crossing (5x5 problem 1 has none)
     assert seen == {True, False} or not any(isinstance(e, Crossing) for e in trace)
 
 
-def test_condensed_test_rejects_bubble_block_unfactored(monkeypatch):
+def test_condensed_test_rejects_bubble_block_unfactored():
+    # an indefinite B_e counts its negative eigenvalues into the verdict, whatever
+    # the vertex Schur complement's pivots, as the full LDL^T does
     op = _StabilityOperator(ProblemConfig(problem=1, n=5))
     data = op.data(1.0)
-    assert op.positive_definite(data) is not None
+    assert op.factor(data)[1] == 0
     bubble_blocks = op.space.condensation().bb
-    data[bubble_blocks[7, 1, 1]] = -1.0  # b11 < 0, so det < 0
-    monkeypatch.setattr(analysis, "positive_definite_factor",
-                        lambda A: pytest.fail("factored a block with a bad B_e"))
-    assert op.positive_definite(data) is None
-    data[bubble_blocks[7, 0, 0]] = -1.0  # b00 < 0
-    assert op.positive_definite(data) is None
+    for slot in ((1, 1), (0, 0)):  # b11 < 0, so det < 0; then also b00 < 0
+        data[bubble_blocks[(7, *slot)]] = -1.0
+        below = np.count_nonzero(np.linalg.eigvalsh(data[bubble_blocks[7]]) < 0.0)
+        assert analysis._condense(op.space, data).below == below > 0
+        assert op.factor(data)[1] >= below
+        assert solvers.factor_with_inertia(op.csr(data))[1] > 0
 
 
 def _trace_of(cfg, sign):
@@ -331,16 +357,17 @@ def test_lanczos_budget_proposes_the_cap(monkeypatch):
         return outcomes[-1]
 
     monkeypatch.setattr(analysis.spla, "eigsh", recorded)
-    tests, certificates = _count_calls(monkeypatch, "positive_definite",
-                                       "kernel_certified")
+    tests = _search_factors(monkeypatch)
+    certificates, = _count_calls(monkeypatch, "kernel_certified")
     limit, trace = _trace_of(ProblemConfig(problem=2, n=33), -1.0)
     assert limit == -math.inf and outcomes == [None]
     first = -trace[0].hi / analysis.GAMMA_CAP
     assert first == 2.0 ** round(math.log2(first)) < 1.0
     assert trace == [CertifiedStep(-0.0, trace[0].hi),
                      CertifiedStep(trace[0].hi, -analysis.GAMMA_CAP)]
-    # one tangent test per halving of the cap
-    assert len(certificates) == 2 and len(tests) == 1 - round(math.log2(first))
+    # the ray tests at both step starts, A(0)'s test for the proposal, then one
+    # tangent test per halving of the cap
+    assert len(certificates) == 2 and len(tests) == 3 + 1 - round(math.log2(first))
 
 
 @pytest.mark.slow
@@ -439,13 +466,19 @@ def test_crossing_factors_its_block_once(monkeypatch):
 
 def test_verdicts_build_no_full_block(monkeypatch):
     # a verdict takes lambda_min from block data on its bubble-condensed
-    # factorization: every factorization has the size of the free vertex block
+    # factorization, and a critical-load search takes every test and its Lanczos
+    # proposals' solves on the same: each factorization is the free vertex block's
     real, shapes = solvers.ldlt_factor, []
     monkeypatch.setattr(solvers, "ldlt_factor",
                         lambda A: shapes.append(A.shape) or real(A))
-    for problem, gt, stable in ((2, 3.0, True), (1, 15.0, False)):
-        cfg = ProblemConfig(problem=problem, n=9, gamma_tilde=gt)
-        assert is_stable(cfg)[1] == stable
+    runs = [(ProblemConfig(problem=problem, n=9, gamma_tilde=gt),
+             lambda cfg, stable=stable: is_stable(cfg)[1] == stable)
+            for problem, gt, stable in ((2, 3.0, True), (1, 15.0, False))]
+    runs += [(ProblemConfig(problem=problem, n=9, **weights),
+              lambda cfg: find_stability_limits(cfg).gamma_M < math.inf)
+             for problem in (1, 2) for weights in ({}, {"m1": 0.0, "m2": 0.0})]
+    for cfg, check in runs:
+        assert check(cfg)
         space = _StabilityOperator(cfg).space
         nvf = len(space.condensation().indptr) - 1
         assert nvf < len(space.free_dofs) and set(shapes) == {(nvf, nvf)}
@@ -459,7 +492,7 @@ def test_stable_set_is_not_an_interval():
     op = _StabilityOperator(cfg)
     for gt, stable in ((10.0, False), (1e2, False), (1e3, False),
                        (1e4, True), (1e5, True), (1e6, True)):
-        assert (positive_definite_factor(op.csr(op.data(gt))) is not None) == stable
+        assert (solvers.factor_with_inertia(op.csr(op.data(gt)))[1] == 0) == stable
     assert find_stability_limits(cfg).gamma_M == pytest.approx(3.858, abs=0.01)
     lam, ok = is_stable(replace(cfg, gamma_tilde=1e5))
     assert ok and lam > 0.0
@@ -502,6 +535,20 @@ def _count_calls(monkeypatch, *names):
     return lists
 
 
+def _search_factors(monkeypatch):
+    """The block data of each op.factor call that _certified_limit makes itself: its
+    ray, A(a), tangent and end tests, not the kernel certificate's factorizations."""
+    real, calls = _StabilityOperator.factor, []
+
+    def recorded(op, data, c=None):
+        if sys._getframe(1).f_code is analysis._certified_limit.__code__:
+            calls.append(data)
+        return real(op, data, c)
+
+    monkeypatch.setattr(_StabilityOperator, "factor", recorded)
+    return calls
+
+
 def _count_eigsh(monkeypatch):
     calls = []
     real = spla.eigsh
@@ -530,23 +577,24 @@ def test_ray_proof_settles_unbounded_direction(monkeypatch, n):
 def test_tail_steps_skip_lanczos(monkeypatch, factor_budget):
     # problem 2's A' fails the ray test, but on 5...17 nodes the kernel
     # certificate proves the negative direction up to the cap at gt = 0:
-    # one step, with no tangent test and no Lanczos solve
-    calls = _count_eigsh(monkeypatch)
-    tests, = _count_calls(monkeypatch, "positive_definite")
+    # one step, with no tangent test and no Lanczos solve: the search's own one
+    # factorization is the ray test of A'(0)
+    calls, tests = _count_eigsh(monkeypatch), _search_factors(monkeypatch)
     for n in (5, 9, 17):
         op = _StabilityOperator(ProblemConfig(problem=2, n=n))
         trace = []
         assert analysis._certified_limit(op, -1.0, trace) == -math.inf
         assert trace == [CertifiedStep(-0.0, -analysis.GAMMA_CAP)]
-    assert calls == [] and tests == []
+        assert len(tests) == 1 and np.array_equal(tests.pop(), op.parts(-1.0)[0])
+    assert calls == []
 
 
 def test_linear_block_grows_no_step(monkeypatch):
     # with m2 = 0 the block is its own tangent, so the Lanczos step aims at
-    # its singular point: three steps take A(a) and the tangent each; the ray
-    # test at gt = 0 and the end test, which lambda_min reuses, are op.factor's
-    real, calls = analysis.positive_definite_factor, []
-    monkeypatch.setattr(analysis, "positive_definite_factor",
+    # its singular point: the ray test at gt = 0, three steps that factor A(a)
+    # and the tangent each, and the end test, which lambda_min reuses
+    real, calls = analysis.factor_with_inertia, []
+    monkeypatch.setattr(analysis, "factor_with_inertia",
                         lambda A: calls.append(None) or real(A))
     op = _StabilityOperator(ProblemConfig(problem=1, n=9))
     trace = []
@@ -559,7 +607,7 @@ def test_linear_block_grows_no_step(monkeypatch):
     assert isinstance(crossing, Crossing)
     assert crossing.load == pytest.approx(14.6971905853687, rel=1e-12)
     assert crossing.lam == pytest.approx(-0.015688121188100743, rel=1e-6)
-    assert len(calls) == 6
+    assert len(calls) == 8
 
 
 def test_unconfirmed_crossing_raises(monkeypatch):
