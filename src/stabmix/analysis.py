@@ -7,22 +7,20 @@ The displacement block of the stabilized problem at load factor gamma is
 
 with the nondimensional load gt = gamma*L/mu (L = 1 here).  The method is
 stable at gt exactly when the constrained block is positive definite.  In
-either loading direction, with s = |gt|, the block is a quadratic
-A(s) = K0 + s*Kd + s^2*K2 whose K2 = m2*S is positive semidefinite, so A is
-convex in the Loewner order: A(s) >= A(a) + (s - a)*A'(a) for s >= a (an
-overdamped-type quadratic pencil; Tisseur & Meerbergen, "The quadratic
-eigenvalue problem", SIAM Rev. 43, 2001).  The critical loads are found by
-tangent steps outward from gt = 0.  One LDL^T positive-definiteness test of
-the tangent A(a) + (b - a)*A'(a) proves A > 0 on [a, b], as a linear pencil
-positive definite at both ends is so between them; with A(a) > 0, one of
-A'(a) proves A > 0 on the whole ray [a, inf).  Each such test, whose solves also
-serve the step proposals, and each lambda_min of a verdict factor A - sigma*I with
-the MINI bubbles condensed out element by element: its inertia is the 2x2 bubble
-blocks' plus the vertex Schur complement's, a third of the size (Haynsworth's
-inertia additivity, Linear Algebra Appl. 1, 1968).  Eigen-solves only propose step
-lengths, so their tolerances cannot make a verdict wrong; a Lanczos proposal that
-needs more than LANCZOS_RESTARTS restarts is the cap.  With m2 > 0 a certificate
-on ker S, where A(s)/s^2 -> m2*S is singular, closes the tail up to GAMMA_CAP.
+either loading direction, with s = |gt|, the block is the pencil _Pencil,
+A(s) = K0 + s*Kd + s^2*K2, whose K2 = m2*S is positive semidefinite, so A is
+convex in the Loewner order: A(s) >= A(a) + (s - a)*A'(a) for s >= a (Tisseur &
+Meerbergen, "The quadratic eigenvalue problem", SIAM Rev. 43, 2001).  The critical
+loads are found by tangent steps outward from gt = 0, reading the pencil alone: one
+LDL^T test of the tangent A(a) + (b - a)*A'(a) proves A > 0 on [a, b]; with
+A(a) > 0, one of A'(a) proves it on the ray [a, inf); with m2 > 0 the pencil's tail,
+a certificate on ker S, where A(s)/s^2 -> m2*S is singular, on [a, GAMMA_CAP].  Each
+test and each lambda_min of a verdict factor the block with the MINI bubbles
+condensed out element by element: its inertia is the 2x2 bubble blocks' plus the
+vertex Schur complement's, a third of the size (Haynsworth's inertia additivity,
+Linear Algebra Appl. 1, 1968).  Eigen-solves only propose step lengths, so their
+tolerances cannot make a verdict wrong; a Lanczos proposal that needs more than
+LANCZOS_RESTARTS restarts is the cap.
 """
 
 from __future__ import annotations
@@ -209,11 +207,25 @@ def _bubble_solve(Binv, C, G, cols, inner, x):
     return np.concatenate([z[:nr], (y - dot(G, z[cols])).reshape(-1, *m)])
 
 
+class _Pencil(namedtuple("_Pencil", "sign K0 Kd K2 factor csr lambda_min tail")):
+    """The block A(s) = K0 + s*Kd + s^2*K2, s = |gt|, of the loading direction sign as
+    data over one CSR pattern, its operator's factor, csr and lambda_min, and tail(a,
+    below), a certificate of A > 0 on [a, GAMMA_CAP]; K2 and tail are None if linear."""
+
+    def at(self, s: float):
+        """Data of A(s): K0 + s*Kd, then s^2*K2 added in place, for a small peak RSS."""
+        A = np.add(self.K0, s * self.Kd)
+        return A if self.K2 is None else np.add(A, (s * s) * self.K2, out=A)
+
+    def slope(self, s: float):
+        """Data of A'(s): never modify it."""
+        return self.Kd if self.K2 is None else self.Kd + 2.0 * s * self.K2
+
+
 class _StabilityOperator:
     """Reduced operators of one mesh as data over the CSR pattern they share,
     explicit zeros included: K0 = mu*E2, the load stiffness R and the
-    div-div matrix S.  In the loading direction sign, s = |gt|, the block is
-    A(s) = K0 + s*Kd + s^2*K2 with (Kd, K2) = parts(sign)."""
+    div-div matrix S, from which pencil(sign) builds the block of one direction."""
 
     def __init__(self, cfg: ProblemConfig):
         self.cfg = cfg
@@ -223,21 +235,18 @@ class _StabilityOperator:
         self.K0, self.R = cfg.mu * E2.data, R.data
         self.S = forms.assemble_divdiv(self.space).data
 
-    def parts(self, sign: float):
-        """(Kd, K2) = (-sign*mu*R + m1*S, m2*S): M = m1*s + m2*s^2 of cfg."""
+    def pencil(self, sign: float) -> _Pencil:
+        """Kd = -sign*mu*R + m1*S, K2 = m2*S (None if 0) and K2's kernel certificate."""
         cfg = self.cfg
-        return -sign * cfg.mu * self.R + cfg.m1 * self.S, cfg.m2 * self.S
+        Kd = -sign * cfg.mu * self.R + cfg.m1 * self.S
+        K2 = cfg.m2 * self.S if cfg.m2 > 0 else None
+        tail = None if K2 is None else functools.partial(self.kernel_certified, Kd, K2)
+        return _Pencil(sign, self.K0, Kd, K2, self.factor, self.csr, self.lambda_min, tail)
 
     def csr(self, data) -> sp.csr_matrix:
         """The operator of data over the plan's shared arrays: never modify it."""
         return sp.csr_matrix((data, self.plan.indices, self.plan.indptr),
                              shape=self.plan.shape)
-
-    def data(self, gamma_tilde: float):
-        """Data of the block at gamma_tilde, summed in place for a small peak RSS."""
-        (Kd, K2), s = self.parts(math.copysign(1.0, gamma_tilde)), abs(gamma_tilde)
-        Kd *= s  # K0 + s*Kd + s^2*K2, in that order
-        return np.add(np.add(self.K0, Kd, out=Kd), np.multiply(s * s, K2, out=K2), out=Kd)
 
     def factor(self, data, c=None):
         """Bubble-condensed LDL^T of block data (or its _condense parts c), its solve that
@@ -251,10 +260,10 @@ class _StabilityOperator:
         return (types.SimpleNamespace(solve=solve),
                 None if nonpositive is None else c.below + nonpositive)
 
-    def lambda_min(self, gamma_tilde: float, at_zero=None) -> float:
-        """smallest_eigenvalue of the block on its condensed factorizations; at_zero,
+    def lambda_min(self, data, at_zero=None) -> float:
+        """smallest_eigenvalue of block data on its condensed factorizations; at_zero,
         factor(data) taken already, serves the shift sigma = 0."""
-        data, eye = self.data(gamma_tilde), self.space.condensation().eye
+        eye = self.space.condensation().eye
         return smallest_eigenvalue(self.csr(data), lambda s: at_zero if at_zero and s == 0
                                    else self.factor(data - s * eye))
 
@@ -282,7 +291,7 @@ class _StabilityOperator:
             b *= 2
         return None
 
-    def kernel_certified(self, sign: float, a: float, below: int | None = 0) -> bool:
+    def kernel_certified(self, Kd, K2, a: float, below: int | None = 0) -> bool:
         """Whether the kernel certificate (README, "Numerics") proves A > 0 on [a, cap]:
         L(u) - diag(dz*I, dy*I) > 0 at u = 1/cap and 1/a.  Times t = 1/u, L's top block
         is H0 + U Mc U^T, H0 = t*(K2_JJ - dz*I) + Kd_JJ with the rows I pinned; Woodbury
@@ -292,7 +301,7 @@ class _StabilityOperator:
         where it is a times L's top block at u = 1/a, up to roundoff."""
         if self.kernel is None or (below or 0) > len(self.kernel[1]):
             return False
-        (Z, I), (Kd, K2) = self.kernel, self.parts(sign)
+        Z, I = self.kernel
         eye = self.space.condensation().eye
         norm = lambda M: math.sqrt(np.linalg.eigvalsh(M.T @ M)[-1])  # noqa: E731
         K2Z, k, J = self.csr(K2) @ Z, len(I), np.ones(len(Z), bool)
@@ -328,15 +337,16 @@ def is_stable(cfg: ProblemConfig):
 
     Returns (lambda_min, verdict) with verdict True iff lambda_min > 0.
     """
-    lam = _StabilityOperator(cfg).lambda_min(cfg.gamma_tilde)
+    op, gt = _StabilityOperator(cfg), cfg.gamma_tilde
+    lam = op.lambda_min(op.pencil(math.copysign(1.0, gt)).at(abs(gt)))
     return lam, lam > 0.0
 
 
-def _certified_limit(op: _StabilityOperator, sign: float, trace: list) -> float:
-    """Certified end of the stable interval from gt = 0 in one direction.
+def _certified_limit(pencil: _Pencil, trace: list) -> float:
+    """Certified end of the stable interval from gt = 0 in the pencil's direction.
 
-    At each a, a ray test returns sign*inf if A'(a) > 0 (with m2 = 0 at a = 0
-    only), and with m2 > 0 the kernel certificate ends it with the step (a, cap).
+    At each a, a ray test returns sign*inf if A'(a) > 0 (for a linear pencil at a = 0
+    only), and for a quadratic one the tail certificate ends it with the step (a, cap).
     Else the largest eigenvalue theta of -A'(a) x = theta A(a) x, by Lanczos on
     the solves of A(a)'s factor, proposes 0.999/theta (the cap if theta <= 0 or it
     does not converge within LANCZOS_RESTARTS restarts), halved until the tangent
@@ -344,33 +354,32 @@ def _certified_limit(op: _StabilityOperator, sign: float, trace: list) -> float:
     ends the search at a, once smallest_eigenvalue confirms lambda < 0 there on the
     same factorization.  A step that does not advance a raises ArithmeticError.
     """
-    tol, cap = BISECT_TOL, GAMMA_CAP
-    (Kd, K2), a = op.parts(sign), 0.0
+    tol, cap, sign, a = BISECT_TOL, GAMMA_CAP, pencil.sign, 0.0
     while a < cap:
-        A, dA = op.data(sign * a), Kd + 2.0 * a * K2  # A(a), A'(a)
-        below = op.factor(dA)[1] if a == 0 or op.cfg.m2 > 0 else None  # A'(a)'s
-        ray = below == 0  # non-positive eigenvalues, also a bound for the certificate
-        if not ray and op.cfg.m2 > 0 and op.kernel_certified(sign, a, below):
+        A, dA = pencil.at(a), pencil.slope(a)
+        below = pencil.factor(dA)[1] if a == 0 or pencil.K2 is not None else None
+        ray = below == 0  # A'(a)'s non-positive eigenvalues, the certificate's bound
+        if not ray and pencil.K2 is not None and pencil.tail(a, below):
             trace.append(CertifiedStep(sign * a, sign * cap))
             return sign * math.inf
-        f, nonpositive = op.factor(A)
+        f, nonpositive = pencil.factor(A)
         if nonpositive != 0:  # at a > 0 the previous step proved the contrary
             raise ArithmeticError(f"not positive definite at gamma_tilde = "
                                   f"{sign * a!r} (bisect_tol = {tol:g})")
         if ray:  # A(s) >= A(a) + (s - a)*A'(a) > 0 for every s >= a
             trace.append(CertifiedStep(sign * a, sign * math.inf))
             return sign * math.inf
-        M = op.csr(A)
+        M = pencil.csr(A)
         minv = spla.LinearOperator(M.shape, matvec=f.solve, dtype=float)
         try:
             theta = float(spla.eigsh(
-                -op.csr(dA), k=1, M=M, Minv=minv, which="LA", tol=1e-3,
+                -pencil.csr(dA), k=1, M=M, Minv=minv, which="LA", tol=1e-3,
                 maxiter=LANCZOS_RESTARTS, v0=np.ones(M.shape[0]),
                 return_eigenvectors=False)[0])
         except spla.ArpackNoConvergence:
             theta = 0.0  # no proposal: the cap, halved
         t = cap - a if theta <= 0.0 else min(0.999 / theta, cap - a)
-        while a + t > a and op.factor(A + t * dA)[1] != 0:
+        while a + t > a and pencil.factor(A + t * dA)[1] != 0:
             t *= 0.5
         if not a + t > a:  # theta NaN, or t below the resolution of a
             raise ArithmeticError(f"no step advances gamma_tilde = {sign * a!r} "
@@ -378,8 +387,8 @@ def _certified_limit(op: _StabilityOperator, sign: float, trace: list) -> float:
         trace.append(CertifiedStep(sign * a, sign * min(a + t, cap)))
         a = min(a + t, cap)
         end = sign * min(a + tol, cap)
-        if t <= tol and a < cap and (at_end := op.factor(op.data(end)))[1] != 0:
-            lam = op.lambda_min(end, at_end)
+        if t <= tol and a < cap and (f := pencil.factor(E := pencil.at(abs(end))))[1] != 0:
+            lam = pencil.lambda_min(E, f)
             trace.append(Crossing(end, lam))
             if not lam < 0.0:
                 raise ArithmeticError(f"not positive definite at gamma_tilde = {end:g}"
@@ -393,7 +402,7 @@ def find_stability_limits(cfg: ProblemConfig) -> StabilityReport:
     certified end of the stable interval from gt = 0 (see StabilityReport)."""
     op = _StabilityOperator(cfg)
     trace = []
-    gamma_M, gamma_m = (_certified_limit(op, sign, trace) for sign in (1.0, -1.0))
+    gamma_M, gamma_m = (_certified_limit(op.pencil(sign), trace) for sign in (1.0, -1.0))
     return StabilityReport(problem=cfg.problem, n=cfg.n, gamma_m=gamma_m,
                            gamma_M=gamma_M, trace=tuple(trace))
 
@@ -500,9 +509,10 @@ def run_convergence(cfg: ProblemConfig, meshes) -> ConvergenceTable:
     for n in meshes:
         c = replace(cfg, n=n)
         op = _StabilityOperator(c)
-        space, data = op.space, op.data(c.gamma_tilde)
+        space, gt = op.space, c.gamma_tilde
+        data = op.pencil(math.copysign(1.0, gt)).at(abs(gt))
         parts = _condense(space, data, (forms.assemble_coupling(space), 0.0))
-        lam = op.lambda_min(c.gamma_tilde, op.factor(data, parts))
+        lam = op.lambda_min(data, op.factor(data, parts))
         del op, data  # its assembled parts would stay alive through the saddle solve
         if not lam > 0.0 or parts is None:
             raise ValueError(

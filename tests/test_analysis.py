@@ -2,7 +2,6 @@
 
 import math
 import re
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -96,6 +95,11 @@ def test_classical_method_verdicts():
 
 def _dense_lambda_min(A):
     return np.linalg.eigvalsh(A.toarray())[0]
+
+
+def _data(op, gt):
+    """Block data of op at the signed load gt, from the pencil of its direction."""
+    return op.pencil(math.copysign(1.0, gt)).at(abs(gt))
 
 
 class FullBlock:
@@ -271,19 +275,18 @@ def _pd_pairs(op, trace):
         if isinstance(e, Crossing):
             sign, g = math.copysign(1.0, e.load), abs(e.load) - analysis.BISECT_TOL
             for d in eps + (analysis.BISECT_TOL,):
-                yield f"A({sign * (g + d)!r})", op.data(sign * (g + d))
+                yield f"A({sign * (g + d)!r})", _data(op, sign * (g + d))
             continue
-        sign, lo = math.copysign(1.0, e.hi), abs(e.lo)
-        Kd, K2 = op.parts(sign)
-        dA = Kd + 2.0 * lo * K2
+        pencil, lo = op.pencil(math.copysign(1.0, e.hi)), abs(e.lo)
+        dA = pencil.slope(lo)
         yield f"A'({e.lo!r})", dA
         if math.isinf(e.hi):
             continue
         t = abs(e.hi) - lo
         for f in (1.0, 1.01, 2.0):
-            yield f"tangent {e.lo!r} + {f}*{t!r}", op.data(e.lo) + f * t * dA
+            yield f"tangent {e.lo!r} + {f}*{t!r}", pencil.at(lo) + f * t * dA
         for d in eps:
-            yield f"A({e.hi * (1.0 + d)!r})", op.data(e.hi * (1.0 + d))
+            yield f"A({e.hi * (1.0 + d)!r})", _data(op, e.hi * (1.0 + d))
 
 
 @pytest.mark.parametrize("weights", [{}, {"m1": 0.0, "m2": 0.0}],
@@ -311,7 +314,7 @@ def test_condensed_test_rejects_bubble_block_unfactored():
     # an indefinite B_e counts its negative eigenvalues into the verdict, whatever
     # the vertex Schur complement's pivots, as the full LDL^T does
     op = _StabilityOperator(ProblemConfig(problem=1, n=5))
-    data = op.data(1.0)
+    data = _data(op, 1.0)
     assert op.factor(data)[1] == 0
     bubble_blocks = op.space.condensation().bb
     for slot in ((1, 1), (0, 0)):  # b11 < 0, so det < 0; then also b00 < 0
@@ -322,9 +325,18 @@ def test_condensed_test_rejects_bubble_block_unfactored():
         assert solvers.factor_with_inertia(op.csr(data))[1] > 0
 
 
-def _trace_of(cfg, sign):
-    trace = []
-    return analysis._certified_limit(_StabilityOperator(cfg), sign, trace), trace
+def _trace_of(cfg, sign, factored=None, certified=None):
+    """The limit and trace of one direction's search.  Given lists, the pencil it reads
+    appends to them the data of each factorization the search makes itself (its ray,
+    A(a), tangent and end tests; a certificate and lambda_min's shifts factor through
+    the operator) and the arguments of each tail certificate."""
+    trace, pencil = [], _StabilityOperator(cfg).pencil(sign)
+    if factored is not None:
+        real = pencil
+        pencil = real._replace(
+            factor=lambda data, c=None: factored.append(data) or real.factor(data, c),
+            tail=lambda *args: certified.append(args) or real.tail(*args))
+    return analysis._certified_limit(pencil, trace), trace
 
 
 @pytest.mark.parametrize("n", [5, 9, 17])
@@ -357,9 +369,8 @@ def test_lanczos_budget_proposes_the_cap(monkeypatch):
         return outcomes[-1]
 
     monkeypatch.setattr(analysis.spla, "eigsh", recorded)
-    tests = _search_factors(monkeypatch)
-    certificates, = _count_calls(monkeypatch, "kernel_certified")
-    limit, trace = _trace_of(ProblemConfig(problem=2, n=33), -1.0)
+    tests, certificates = [], []
+    limit, trace = _trace_of(ProblemConfig(problem=2, n=33), -1.0, tests, certificates)
     assert limit == -math.inf and outcomes == [None]
     first = -trace[0].hi / analysis.GAMMA_CAP
     assert first == 2.0 ** round(math.log2(first)) < 1.0
@@ -397,7 +408,7 @@ def test_kernel_certificate_65_problem2(monkeypatch):
 def _dense_kernel_forms(op, sign):
     """Dense G(0) and G'(0) = W^T Kd W of the kernel certificate, on the
     orthonormal bases Z of ker S and W of its K0-orthogonal complement."""
-    K0, S, Kd = (op.csr(d).toarray() for d in (op.K0, op.S, op.parts(sign)[0]))
+    K0, S, Kd = (op.csr(d).toarray() for d in (op.K0, op.S, op.pencil(sign).Kd))
     Z = sla.null_space(S)
     W = sla.null_space(Z.T @ K0)
     G0 = np.block([[op.cfg.m2 * W.T @ S @ W, W.T @ Kd @ Z],
@@ -420,7 +431,7 @@ def test_kernel_certificate_matches_dense_oracle(n):
         for a in (0.0, 10.0, 1e3, 1e4):
             tangent = dG if a == 0.0 else G0 + np.pad(dG, (0, n - 2)) / a
             dense = np.linalg.eigvalsh(tangent)[0] > 0.0
-            assert op.kernel_certified(sign, a) == dense, (sign, a)
+            assert op.pencil(sign).tail(a) == dense, (sign, a)
             verdicts.append(dense)
         # the negative direction is proved at every load, the positive one
         # only past its unstable interval
@@ -432,21 +443,21 @@ def test_kernel_certificate_refuses_unsound_claims():
     # 9x9 problem 2 is unstable from gamma_M = 3.86 to about 1884 in the
     # positive direction, so no certificate from a below that may pass
     op = _StabilityOperator(ProblemConfig(problem=2, n=9))
-    assert _dense_lambda_min(op.csr(op.data(1500.0))) < 0.0
-    assert not any(op.kernel_certified(1.0, a)
+    assert _dense_lambda_min(op.csr(_data(op, 1500.0))) < 0.0
+    assert not any(op.pencil(1.0).tail(a)
                    for a in (0.0, 3.0, 3.9, 10.0, 100.0, 1000.0, 1500.0))
     # with m2 = 0.1, 5x5 problem 2 is unstable past gamma_m = -373.1 up to the
     # cap: L > 0 at u = 1/a, and only the test at u = 1/GAMMA_CAP refuses
     weak = _StabilityOperator(ProblemConfig(problem=2, n=5, m2=0.1))
-    assert _dense_lambda_min(weak.csr(weak.data(-1e6))) < 0.0
-    assert not any(weak.kernel_certified(-1.0, a) for a in (0.0, 10.0, 100.0))
+    assert _dense_lambda_min(weak.csr(_data(weak, -1e6))) < 0.0
+    assert not any(weak.pencil(-1.0).tail(a) for a in (0.0, 10.0, 100.0))
     # the margins follow the basis's residuals: roundoff passes, an error of
     # 1e-6, far beyond what they cover, is refused
     Z, I = op.kernel
     wiggle = np.cos(np.arange(Z.size)).reshape(Z.shape)
     for size, passes in ((1e-15, True), (1e-6, False)):
         op.__dict__["kernel"] = (np.linalg.qr(Z + size * wiggle)[0], I)
-        assert op.kernel_certified(-1.0, 0.0) == passes
+        assert op.pencil(-1.0).tail(0.0) == passes
 
 
 def test_crossing_factors_its_block_once(monkeypatch):
@@ -459,7 +470,7 @@ def test_crossing_factors_its_block_once(monkeypatch):
     op = _StabilityOperator(ProblemConfig(problem=1, n=9))
     limit, trace = _trace_of(op.cfg, 1.0)
     assert trace[-1].load == pytest.approx(14.697, abs=1e-3)
-    schur = analysis._condense(op.space, op.data(trace[-1].load)).schur.toarray()
+    schur = analysis._condense(op.space, _data(op, trace[-1].load)).schur.toarray()
     assert np.array_equal(factored[-1], schur)
     assert not np.array_equal(factored[-2], schur)
 
@@ -492,7 +503,7 @@ def test_stable_set_is_not_an_interval():
     op = _StabilityOperator(cfg)
     for gt, stable in ((10.0, False), (1e2, False), (1e3, False),
                        (1e4, True), (1e5, True), (1e6, True)):
-        assert (solvers.factor_with_inertia(op.csr(op.data(gt)))[1] == 0) == stable
+        assert (solvers.factor_with_inertia(op.csr(_data(op, gt)))[1] == 0) == stable
     assert find_stability_limits(cfg).gamma_M == pytest.approx(3.858, abs=0.01)
     lam, ok = is_stable(replace(cfg, gamma_tilde=1e5))
     assert ok and lam > 0.0
@@ -523,32 +534,6 @@ def test_find_stability_limits_small_mesh():
     assert crossings[0].load == pytest.approx(rep.gamma_M + analysis.BISECT_TOL)
 
 
-def _count_calls(monkeypatch, *names):
-    """Lists that record each call of the named _StabilityOperator methods."""
-    lists = []
-    for name in names:
-        real, calls = getattr(_StabilityOperator, name), []
-        monkeypatch.setattr(_StabilityOperator, name,
-                            lambda op, *a, real=real, calls=calls:
-                            calls.append(a) or real(op, *a))
-        lists.append(calls)
-    return lists
-
-
-def _search_factors(monkeypatch):
-    """The block data of each op.factor call that _certified_limit makes itself: its
-    ray, A(a), tangent and end tests, not the kernel certificate's factorizations."""
-    real, calls = _StabilityOperator.factor, []
-
-    def recorded(op, data, c=None):
-        if sys._getframe(1).f_code is analysis._certified_limit.__code__:
-            calls.append(data)
-        return real(op, data, c)
-
-    monkeypatch.setattr(_StabilityOperator, "factor", recorded)
-    return calls
-
-
 def _count_eigsh(monkeypatch):
     calls = []
     real = spla.eigsh
@@ -565,10 +550,9 @@ def _count_eigsh(monkeypatch):
 def test_ray_proof_settles_unbounded_direction(monkeypatch, n):
     # problem 1's A'(0) = m1*S + mu*R is positive definite under negative
     # loads, which proves A > 0 on the whole ray from one factorization
-    op = _StabilityOperator(ProblemConfig(problem=1, n=n))
     calls = _count_eigsh(monkeypatch)
-    trace = []
-    assert analysis._certified_limit(op, -1.0, trace) == -math.inf
+    limit, trace = _trace_of(ProblemConfig(problem=1, n=n), -1.0)
+    assert limit == -math.inf
     assert trace == [CertifiedStep(-0.0, -math.inf)]
     assert math.copysign(1.0, trace[0].lo) == -1.0
     assert calls == []
@@ -579,13 +563,14 @@ def test_tail_steps_skip_lanczos(monkeypatch, factor_budget):
     # certificate proves the negative direction up to the cap at gt = 0:
     # one step, with no tangent test and no Lanczos solve: the search's own one
     # factorization is the ray test of A'(0)
-    calls, tests = _count_eigsh(monkeypatch), _search_factors(monkeypatch)
+    calls, tests = _count_eigsh(monkeypatch), []
     for n in (5, 9, 17):
-        op = _StabilityOperator(ProblemConfig(problem=2, n=n))
-        trace = []
-        assert analysis._certified_limit(op, -1.0, trace) == -math.inf
+        cfg = ProblemConfig(problem=2, n=n)
+        limit, trace = _trace_of(cfg, -1.0, tests, [])
+        assert limit == -math.inf
         assert trace == [CertifiedStep(-0.0, -analysis.GAMMA_CAP)]
-        assert len(tests) == 1 and np.array_equal(tests.pop(), op.parts(-1.0)[0])
+        Kd = _StabilityOperator(cfg).pencil(-1.0).Kd
+        assert len(tests) == 1 and np.array_equal(tests.pop(), Kd)
     assert calls == []
 
 
@@ -596,9 +581,7 @@ def test_linear_block_grows_no_step(monkeypatch):
     real, calls = analysis.factor_with_inertia, []
     monkeypatch.setattr(analysis, "factor_with_inertia",
                         lambda A: calls.append(None) or real(A))
-    op = _StabilityOperator(ProblemConfig(problem=1, n=9))
-    trace = []
-    limit = analysis._certified_limit(op, 1.0, trace)
+    limit, trace = _trace_of(ProblemConfig(problem=1, n=9), 1.0)
     ends = (0.0, 14.672503421350756, 14.687175912877969, 14.6871905853687)
     assert limit == pytest.approx(ends[-1], rel=1e-12)
     steps, (crossing,) = trace[:-1], trace[-1:]
@@ -868,7 +851,7 @@ def test_convergence_33_65(monkeypatch, problem):
     cfg = ProblemConfig(problem=problem, n=65, gamma_tilde=2.9)
     assert run_convergence(cfg, [33, 65]).rows[1].order >= 1.9
     op = _StabilityOperator(cfg)
-    A, B = op.csr(op.data(2.9)), assemble_coupling(op.space)
+    A, B = op.csr(_data(op, 2.9)), assemble_coupling(op.space)
     F = forms.assemble_load(op.space, analysis.manufactured_load)
     p, u = solved[-1][:op.space.n_p], solved[-1][op.space.n_p:]
     residual = np.hypot(np.linalg.norm(A @ u + B.T @ p - F), np.linalg.norm(B @ u))
@@ -904,7 +887,7 @@ def test_stabilization_parameter_values():
         E2, R = forms.elastic_parts(op.space)
         S = forms.assemble_divdiv(op.space)
         for gt, M in loads:
-            A = op.csr(op.data(gt))
+            A = op.csr(_data(op, gt))
             ref = cfg.mu * E2 - cfg.mu * gt * R + M * S
             assert abs(A - ref.tocsr()).max() <= 1e-12 * abs(A).max()
 
@@ -915,14 +898,14 @@ def test_operator_matrix_affine_pieces():
     E2, R = forms.elastic_parts(op.space)
     S = forms.assemble_divdiv(op.space)
     for gt in (1.5, -1.5, 0.0):
-        A = op.csr(op.data(gt))
+        A = op.csr(_data(op, gt))
         M = 320.0 * abs(gt) + 1.36 * gt ** 2
         ref = cfg.mu * E2 - cfg.mu * gt * R + M * S
         assert abs(A - ref.tocsr()).max() <= 1e-12 * abs(A).max()
         # the derivative along |gt|: a one-sided difference exact on quadratics
         sign, s = math.copysign(1.0, gt), abs(gt)
-        fd = (4.0 * op.csr(op.data(sign * (s + 1.0))) - 3.0 * op.csr(op.data(sign * s))
-              - op.csr(op.data(sign * (s + 2.0)))) / 2.0
-        Kd, K2 = op.parts(sign)
-        dA = op.csr(Kd + 2.0 * s * K2)
+        pencil = op.pencil(sign)
+        fd = (4.0 * op.csr(pencil.at(s + 1.0)) - 3.0 * op.csr(pencil.at(s))
+              - op.csr(pencil.at(s + 2.0))) / 2.0
+        dA = op.csr(pencil.slope(s))
         assert abs(fd - dA).max() <= 1e-8 * abs(dA).max()

@@ -1,5 +1,6 @@
 """Eigen-solvers and saddle-point solves against dense oracles."""
 
+import math
 import types
 
 import numpy as np
@@ -98,31 +99,47 @@ def test_all_negative_spectrum():
     assert smallest_eigenvalue(sp.csr_matrix(A)) == pytest.approx(-4e7, rel=1e-8)
 
 
-@pytest.mark.parametrize("problem,n,gt,classical,expect_sign", [
-    (1, 9, 14.6, False, 1), (1, 9, 14.7, False, -1),   # gamma_M = 14.68
-    (1, 9, 2.0, True, -1),                              # classical, past ~1.5
-    (2, 17, 3.3, False, 1), (2, 17, 3.4, False, -1),   # gamma_M = 3.37
-    (1, 5, 7.0, False, 1), (1, 5, 2.0, True, -1),      # 5x5 gamma_M = +inf
-    (2, 5, 7.2, False, 1), (2, 5, 7.3, False, -1),     # gamma_M = 7.22
-    (2, 9, 3.85, False, 1), (2, 9, 3.9, False, -1),    # gamma_M = 3.86
-    (2, 5, 2.0, True, -1),
-    (1, 5, 1.3, True, -1),  # four indefinite B_e, a positive definite Schur complement
-])
+def _data(op, gt):
+    """Block data of op at the signed load gt, from the pencil of its direction."""
+    return op.pencil(math.copysign(1.0, gt)).at(abs(gt))
+
+
+# problem, n, gt, classical, the sign of lambda_min, whether some bubble block B_e is
+# indefinite
+BLOCK_ROWS = [
+    (1, 9, 14.6, False, 1, False), (1, 9, 14.7, False, -1, False),  # gamma_M = 14.68
+    (1, 9, 2.0, True, -1, True),                                    # classical, past ~1.5
+    (2, 17, 3.3, False, 1, False), (2, 17, 3.4, False, -1, False),  # gamma_M = 3.37
+    (1, 5, 7.0, False, 1, False), (1, 5, 2.0, True, -1, True),      # 5x5 gamma_M = +inf
+    (2, 5, 7.2, False, 1, False), (2, 5, 7.3, False, -1, False),    # gamma_M = 7.22
+    (2, 9, 3.85, False, 1, False), (2, 9, 3.9, False, -1, False),   # gamma_M = 3.86
+    (2, 5, 2.0, True, -1, True),
+    # four indefinite B_e, a positive definite Schur complement
+    (1, 5, 1.3, True, -1, True),
+    # classical negative loads straddling gamma_m = -12.39 and -5.19: every B_e definite
+    (1, 9, -12.3, True, 1, False), (1, 9, -12.5, True, -1, False),
+    (2, 9, -5.1, True, 1, False), (2, 9, -5.3, True, -1, False),
+]
+
+
+# each row's id names its first five fields
+@pytest.mark.parametrize("problem,n,gt,classical,expect_sign,indefinite_b", BLOCK_ROWS,
+                         ids=["-".join(map(str, row[:5])) for row in BLOCK_ROWS])
 def test_assembled_blocks_across_critical_load(problem, n, gt, classical,
-                                               expect_sign):
+                                               expect_sign, indefinite_b):
     # the sparse path on the summed block and the bubble-condensed one on its
     # data agree with LAPACK.  Past the classical limit some bubble blocks B_e
     # are indefinite, and their inertia sends the shift search below zero
     weights = dict(m1=0.0, m2=0.0) if classical else {}
     op = _StabilityOperator(ProblemConfig(problem=problem, n=n, **weights))
-    data = op.data(gt)
+    data = _data(op, gt)
     A = op.csr(data)
     lam_dense = sla.eigvalsh(A.toarray())[0]
-    lam, lam_condensed = smallest_eigenvalue(A), op.lambda_min(gt)
+    lam, lam_condensed = smallest_eigenvalue(A), op.lambda_min(data)
     assert np.sign(lam) == np.sign(lam_condensed) == np.sign(lam_dense) == expect_sign
     assert lam == pytest.approx(lam_dense, rel=1e-8)
     assert lam_condensed == pytest.approx(lam_dense, rel=1e-8)
-    assert (_condense(op.space, data).below > 0) == (classical and expect_sign < 0)
+    assert (_condense(op.space, data).below > 0) == indefinite_b
 
 
 @pytest.mark.parametrize("A", [[[2.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 1.0]],
@@ -145,7 +162,7 @@ def test_unstable_verdict_factors_once(monkeypatch, problem, gt):
     # of the vertex Schur complement, the MINI bubbles condensed out
     assert not stable and [A.shape for A in calls] == [({1: 112, 2: 135}[problem],) * 2]
     op = _StabilityOperator(cfg)
-    lam_dense = sla.eigvalsh(op.csr(op.data(gt)).toarray())
+    lam_dense = sla.eigvalsh(op.csr(_data(op, gt)).toarray())
     assert lam_dense[0] < 0.0 < lam_dense[1]
     assert lam == pytest.approx(lam_dense[0], rel=1e-10)
 
@@ -196,7 +213,7 @@ def test_solve_saddle_matches_default_lu(monkeypatch, problem, n, gt, variant):
     # element and recovered after its solve ("condensed")
     weights = dict(m1=0.0, m2=0.0) if variant is True else {}
     op = _StabilityOperator(ProblemConfig(problem=problem, n=n, **weights))
-    A, B = op.csr(op.data(gt)), assemble_coupling(op.space)
+    A, B = op.csr(_data(op, gt)), assemble_coupling(op.space)
     rhs_u = assemble_load(op.space, manufactured_load)
     n_p = op.space.n_p
     if variant == "condensed":
@@ -232,7 +249,7 @@ def test_shift_isolates_lambda_min_from_a_cluster(monkeypatch):
     cfg = ProblemConfig(problem=1, n=9, m1=0.0, m2=0.0, gamma_tilde=2.0)
     lam, stable = is_stable(cfg)
     op = _StabilityOperator(cfg)
-    w = sla.eigvalsh(op.csr(op.data(2.0)).toarray())
+    w = sla.eigvalsh(op.csr(_data(op, 2.0)).toarray())
     assert not stable and lam == pytest.approx(w[0], rel=1e-10)
     assert lam == pytest.approx(-358.8746779575307, rel=1e-10)
     (sigma, _, below), = shifts
