@@ -195,16 +195,15 @@ def _bubble_solve(Binv, C, G, cols, inner, x):
     """Solve with the bubbles eliminated element by element, given _condense's parts: x
     and the result, vectors or blocks, hold the rows of the condensed system, which
     inner solves, then two per element; cols are its rows of the C_e's columns."""
-    nr, m = len(x) - 2 * len(Binv), x.shape[1:]  # a vector keeps the einsum's last bits
-    dot = np.matmul if m else (lambda A, b: np.einsum("eij,ej->ei", A, b))
+    # a vector keeps the einsum's last bits, and cols itself indexes its bincount
+    nr, m, k = len(x) - 2 * len(Binv), x.shape[1:], x[0].size
+    dot, at = (np.matmul, (cols[..., None] * k + np.arange(k)).ravel()) if m else (
+        lambda A, b: np.einsum("eij,ej->ei", A, b), cols.ravel())
     y = dot(Binv, x[nr:].reshape(-1, 2, *m))  # B_e^-1 x_b
-    w = dot(C.transpose(0, 2, 1), y).reshape(*cols.shape, -1)  # C_e^T y_e
-    k = w.shape[2]  # x_r - sum_e C_e^T y_e, one bincount for all columns
-    z = np.concatenate([x[:nr], np.zeros((1, *m))]) - np.bincount(
-        (cols[..., None] * k + np.arange(k)).ravel(), w.ravel(),
-        (nr + 1) * k).reshape(nr + 1, *m)
-    z[:nr], z[nr] = inner(z[:nr]), 0.0  # slot nr: fixed vertices
-    return np.concatenate([z[:nr], (y - dot(G, z[cols])).reshape(-1, *m)])
+    z = np.bincount(at, dot(C.transpose(0, 2, 1), y).ravel(), (nr + 1) * k).reshape(
+        nr + 1, *m)  # x_r - sum_e C_e^T y_e, one bincount for all columns
+    z[:nr], z[nr] = inner(np.subtract(x[:nr], z[:nr], z[:nr])), 0.0  # slot nr: fixed
+    return np.concatenate([z[:nr], (y - dot(G, z.take(cols, axis=0))).reshape(-1, *m)])
 
 
 class _Pencil(namedtuple("_Pencil", "sign K0 Kd K2 factor csr lambda_min tail")):
@@ -415,9 +414,9 @@ def estimate_inf_sup(space: MixedSpace) -> float:
     pressure part of [[K_V, B^T], [B, sigma M_p]]^{-1} (0, r) is -(S - sigma M_p)^{-1}
     r, and that of [[K_V^, B^^T], [B^, sigma M_p - D]], the MINI bubbles eliminated,
     too; so shift-invert Lanczos to LANCZOS_TOL about sigma = INFSUP_SHIFT from a fixed
-    start vector gives the k smallest eigenvalues without forming S; k doubles until
-    one clears the kernel.  Once k reaches n_p - 1, beyond ARPACK, the same solve is
-    applied to the identity.
+    start vector gives the k smallest eigenvalues without forming S; a run of kernel modes
+    alone is deflated (Lehoucq & Sorensen, 1996) and k grows by one.  From k = n_p - 1,
+    beyond ARPACK, the undeflated solve is applied to the identity.
     """
     B, Mp = forms.assemble_coupling(space), forms.assemble_pressure_mass(space)
     sigma, K_V, C = INFSUP_SHIFT, forms.assemble_h1_gram(space), INFSUP_SHIFT * Mp
@@ -437,14 +436,15 @@ def estimate_inf_sup(space: MixedSpace) -> float:
         raise NotImplementedError("S is applied only through its shifted inverse")
 
     schur = spla.LinearOperator((n_p, n_p), matvec=not_applied, dtype=float)
-    opinv = spla.LinearOperator((n_p, n_p), matvec=shifted_solve, dtype=float)
-    k = 2
+    opinv = spla.LinearOperator((n_p, n_p), dtype=float, matvec=lambda r: (
+        y := shifted_solve(r)) - Z @ (Z.T @ (Mp @ y)))  # Z deflated: nu = 0 on it
+    k, Z = 2, np.zeros((n_p, 0))  # Z: the kernel modes converged so far, M_p-orthonormal
     while k < n_p - 1:
-        w = spla.eigsh(schur, k=k, M=Mp, sigma=sigma, OPinv=opinv, tol=LANCZOS_TOL,
-                       v0=np.ones(n_p), return_eigenvectors=False)
+        w, V = spla.eigsh(schur, k=k, M=Mp, sigma=sigma, OPinv=opinv, tol=LANCZOS_TOL,
+                          v0=np.ones(n_p))
         if w.max() >= KERNEL_RTOL * INFSUP_BOUND:
             break
-        k *= 2
+        Z, k = np.hstack([Z, V]), k + 1
     else:
         # nu = 1/(lambda - sigma) are the eigenvalues of L^T (S - sigma M_p)^{-1} L
         L = np.linalg.cholesky(Mp @ np.eye(n_p))

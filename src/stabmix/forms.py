@@ -18,12 +18,12 @@ triangle, and each element applies det * invJ^T (x) invJ^T.  Only a
 weight varying in space, such as r, is summed per element.
 
 Element tensors are scattered by the space's scatter plans
-(``MixedSpace.scatter_plan``): the CSR pattern of each operator is built
-once per space, with the data slot of every element-tensor entry, and each
-assembly is one ``np.bincount`` into it.  Every slot sums its entries in
-element order, so repeated runs are bit-identical.  The plan is built
-before the first element tensor and one tensor is alive at a time: a fresh
-65x65 ``elastic_parts`` traces a 17.3 MB peak for 8.3 MB of matrices.
+(``MixedSpace.scatter_plan``): each operator's CSR pattern and the data slot
+of every element-tensor entry, derived once per space from one sort of its
+basis-function pairs; each assembly is one ``np.add.at`` into it.  Every
+slot sums its entries in element order, so repeated runs are bit-identical.
+The plan is built before the first element tensor and one tensor is alive at
+a time: a fresh 65x65 ``elastic_parts`` traces 15.3 MB for 8.3 MB of matrices.
 Operators are restricted to the free displacement dofs (homogeneous
 constraints eliminated) unless ``reduced=False`` asks for the full ones.
 """

@@ -98,38 +98,24 @@ def tabulate_scalar_basis(rule: QuadratureRule, include_bubble: bool):
 
 @dataclass(frozen=True)
 class ScatterPlan:
-    """CSR pattern of an operator, explicit zeros included, and the data slot
-    pos of each entry of an element tensor in its native layout; entries of
-    fixed dofs go to the extra slot nnz, which is dropped."""
+    """CSR pattern of an operator, explicit zeros included, and the data slot pos of each
+    entry of an element tensor in its native layout, as MixedSpace.scatter_plan derives
+    them; entries of fixed dofs go to the extra slot nnz, which is dropped."""
 
     shape: tuple
     indptr: np.ndarray
     indices: np.ndarray
     pos: np.ndarray
 
-    @classmethod
-    def build(cls, rows, cols, shape):
-        """Plan of the entries (rows, cols), broadcast together; row shape[0]
-        or column shape[1] marks a fixed dof."""
-        n_r, n_c = shape
-        key = rows * np.int64(n_c) + cols
-        key[(rows == n_r) | (cols == n_c)] = n_r * n_c  # sorts last: slot nnz
-        key = key.ravel()
-        slots = np.sort(key)  # np.unique was 40x slower at 65x65 (numpy 2.4)
-        slots = slots[np.r_[True, slots[1:] != slots[:-1]]]
-        pos = np.searchsorted(slots, key).astype(np.int32)
-        slots = slots[:np.searchsorted(slots, n_r * n_c)]
-        indptr = np.searchsorted(slots, np.arange(n_r + 1) * np.int64(n_c))
-        arrays = (indptr.astype(np.int32), (slots % n_c).astype(np.int32), pos)
-        for a in arrays:  # shared by every operator assembled from the plan
+    def __post_init__(self):
+        for a in (self.indptr, self.indices, self.pos):  # shared by every operator
             a.setflags(write=False)
-        return cls(shape, *arrays)
 
     def assemble(self, tensor) -> sp.csr_matrix:
-        """One bincount into the shared pattern: each slot sums in element order."""
-        nnz = len(self.indices)
-        data = np.bincount(self.pos, weights=tensor.ravel(), minlength=nnz + 1)[:nnz]
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        """One np.add.at into the shared pattern: each slot sums in element order."""
+        data = np.zeros(len(self.indices) + 1)  # slot nnz takes the fixed dofs' entries
+        np.add.at(data, self.pos, tensor.ravel())  # bincount would copy pos to int64
+        return sp.csr_matrix((data[:-1], self.indices, self.indptr), shape=self.shape)
 
 
 @dataclass(frozen=True)
@@ -192,30 +178,73 @@ class MixedSpace:
         free.setflags(write=False)
         object.__setattr__(self, "free_dofs", free)
 
-    def numbering(self, reduced: bool):
-        """Element dofs and their count: elem_dofs and n_u, or if reduced the
-        free dofs' numbers, fixed dofs numbered n = len(free_dofs), and n."""
+    def numbering(self, reduced: bool, dofs=None):
+        """Numbers of dofs (elem_dofs by default) and their count: the dofs and n_u, or if
+        reduced the free dofs' numbers, fixed dofs numbered n = len(free_dofs), and n."""
+        dofs = self.elem_dofs if dofs is None else dofs
         if not reduced:
-            return self.elem_dofs, self.n_u
+            return dofs, self.n_u
         n = len(self.free_dofs)
         ids = np.full(self.n_u, n)
         ids[self.free_dofs] = np.arange(n)
-        return ids[self.elem_dofs], n
+        return ids[dofs], n
+
+    def basis_pairs(self):
+        """Sorted pattern of the elements' basis-function pairs, built on first use: its
+        row pointer and columns over the basis functions, vertex hats then bubbles (j has
+        dofs 2j and 2j + 1), and place[e, a, b], where element e's pair (a, b) sits in
+        its row."""
+        if "pairs" not in self._plans:
+            nb = self.n_u // 2
+            kt = np.uint32 if nb * nb <= 2 ** 32 else np.int64  # pair keys i * nb + j
+            b = (self.elem_dofs[:, ::2] // 2).astype(kt)
+            key = (b[:, :, None] * kt(nb) + b[:, None, :]).ravel()
+            order = np.argsort(key, kind="stable")  # timsort: elements come in runs
+            new = np.r_[True, (slots := key[order])[1:] != slots[:-1]]
+            place = np.empty(b.shape + b.shape[1:], dtype=np.int32)
+            place.reshape(-1)[order] = np.cumsum(new, dtype=np.int32) - 1
+            bptr = np.r_[0, np.cumsum(np.bincount(slots[new] // kt(nb), minlength=nb))]
+            place -= bptr[b][:, :, None]
+            self._plans["pairs"] = (bptr.astype(np.int32), (slots[new] % kt(nb)).astype(
+                np.int32), place.astype(np.min_scalar_type(place.max())))
+        return self._plans["pairs"]
 
     def scatter_plan(self, form: str, reduced: bool = True) -> ScatterPlan:
         """Plan of the displacement ("uu"), coupling ("pu") or pressure ("pp")
         operators, built on first use.  Native layouts: uu[e, a, b, c, d]
         couples dofs 2a+c and 2b+d of element e, pu[e, p, j] vertex p with
-        dof j, and pp[e, p, r] vertices p and r."""
+        dof j, and pp[e, p, r] vertices p and r.
+
+        Each plan derives from basis_pairs() without a sort of its own: component c of
+        basis function i is dof 2i + c, so row (i, c) starts after the free rows before
+        it, each as wide as its basis row's free columns, and within it column (j, d)
+        follows the free components of the columns before j, and (j, 0) if d = 1."""
         if (form, reduced) not in self._plans:
-            u, n = self.numbering(reduced)
-            ub, tri = u.reshape(len(u), -1, 2), self.mesh.triangles
-            rows, cols, shape = {
-                "uu": (ub[:, :, None, :, None], ub[:, None, :, None, :], (n, n)),
-                "pu": (tri[:, :, None], u[:, None, :], (self.n_p, n)),
-                "pp": (tri[:, :, None], tri[:, None, :], (self.n_p, self.n_p)),
-            }[form]
-            self._plans[form, reduced] = ScatterPlan.build(rows, cols, shape)
+            (bptr, bcol, place), basis = self.basis_pairs(), self.elem_dofs[:, ::2] // 2
+            rank = bptr[basis][:, :, None] + place  # pair (a, b)'s place in the pattern
+            ids, n = (  # ids[j, d]: the number of dof 2j + d (in pp: of vertex j)
+                (np.arange(self.n_u // 2)[:, None], self.n_p) if form == "pp"
+                else self.numbering(reduced, np.arange(self.n_u).reshape(-1, 2)))
+            ids, free = ids.astype(np.int32), ids < n
+            row_free = free if form == "uu" else np.ones((self.n_p, 1), dtype=bool)
+            G = np.pad(np.cumsum(np.take(free.sum(axis=1), bcol), dtype=np.int32), (1, 0))
+            first = G[bptr[:len(row_free) + 1]]  # G[k]: the free columns before pair k
+            width = row_free * np.diff(first)[:, None]
+            ends = np.cumsum(width, dtype=np.int32).reshape(width.shape)
+            nnz = int(ends[-1, -1])  # a fixed row or column goes past slot nnz:
+            start = np.where(row_free, ends - width - first[:-1, None], nnz)
+            shift = np.where(free, np.cumsum(free, axis=1, dtype=np.int32) - free, nnz)
+            cols = np.take(ids, bcol[:bptr[len(row_free)]], axis=0).ravel()
+            cols = cols[cols < n]  # each basis row's free columns, once per free row:
+            indices = np.repeat(start[row_free], width[row_free])
+            indices = cols[np.subtract(np.arange(nnz, dtype=np.int32), indices, indices)]
+            ka, kb = (None, None) if form == "uu" else (3, 3 if form == "pp" else None)
+            pos = G[rank[:, :ka, :kb]][..., None] + np.repeat(  # as [e, a, b, (c, d)]
+                start, free.shape[1], axis=1).take(basis[:, :ka], axis=0)[:, :, None]
+            pos += np.tile(shift, row_free.shape[1]).take(basis[:, :kb], axis=0)[:, None]
+            self._plans[form, reduced] = ScatterPlan(
+                (int(row_free.sum()), n), np.r_[0, ends[row_free]].astype(np.int32),
+                indices, np.minimum(pos, nnz, out=pos).ravel())
         return self._plans[form, reduced]
 
     def condensation(self) -> Condensation:

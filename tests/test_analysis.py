@@ -2,6 +2,7 @@
 
 import math
 import re
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -689,6 +690,30 @@ def test_infsup_65():
     assert control == pytest.approx(0.0075508636, rel=1e-6)
 
 
+# shift-invert solves of estimate_inf_sup on 5, 9, 17, 33 and 65 nodes when each run
+# that found only kernel modes was followed by one for twice as many from a fresh start
+INFSUP_SOLVES_BEFORE = {(1, True): (21, 21, 21, 21, 21), (1, False): (63, 69, 69, 82, 42),
+                        (2, True): (21, 39, 57, 92, 182), (2, False): (42, 42, 42, 42, 42)}
+
+
+@pytest.mark.parametrize("bubbles", [True, False])
+@pytest.mark.parametrize("problem", [1, 2])
+@pytest.mark.parametrize("n", [5, 9, 17, 33, pytest.param(65, marks=pytest.mark.slow)])
+def test_infsup_solve_counts(monkeypatch, n, problem, bubbles):
+    # the kernel modes a run converged are deflated, not found again by the next
+    real, solves = analysis.ldlt_factor, []
+
+    def factor(A):
+        lu = real(A)
+        return types.SimpleNamespace(solve=lambda x: solves.append(x) or lu.solve(x))
+
+    monkeypatch.setattr(analysis, "ldlt_factor", factor)
+    estimate_inf_sup(MixedSpace(build_structured_mesh(n), problem=problem,
+                                include_bubbles=bubbles))
+    assert len(solves) <= INFSUP_SOLVES_BEFORE[problem, bubbles][(5, 9, 17, 33, 65).index(n)]
+    assert len(solves) <= 65 or bubbles
+
+
 def test_compute_errors_exact_discrete_field_is_zero():
     space = MixedSpace(build_structured_mesh(5), problem=2)
     # a linear pressure the P1 space reproduces exactly, and the exact
@@ -856,6 +881,40 @@ def test_convergence_33_65(monkeypatch, problem):
     p, u = solved[-1][:op.space.n_p], solved[-1][op.space.n_p:]
     residual = np.hypot(np.linalg.norm(A @ u + B.T @ p - F), np.linalg.norm(B @ u))
     assert residual <= 1e-10 * np.linalg.norm(F)
+
+
+def _bubble_solve_before(Binv, C, G, cols, inner, x):
+    """_bubble_solve as it was, with its bincount index built for vectors too."""
+    nr, m = len(x) - 2 * len(Binv), x.shape[1:]
+    dot = np.matmul if m else (lambda A, b: np.einsum("eij,ej->ei", A, b))
+    y = dot(Binv, x[nr:].reshape(-1, 2, *m))
+    w = dot(C.transpose(0, 2, 1), y).reshape(*cols.shape, -1)
+    k = w.shape[2]
+    z = np.concatenate([x[:nr], np.zeros((1, *m))]) - np.bincount(
+        (cols[..., None] * k + np.arange(k)).ravel(), w.ravel(),
+        (nr + 1) * k).reshape(nr + 1, *m)
+    z[:nr], z[nr] = inner(z[:nr]), 0.0
+    return np.concatenate([z[:nr], (y - dot(G, z[cols])).reshape(-1, *m)])
+
+
+@pytest.mark.parametrize("problem", [1, 2])
+@pytest.mark.parametrize("n", [5, 9])
+def test_bubble_solve_bit_identical(problem, n):
+    # the block's solve, as in a factorization, and the saddle's, as in run_convergence
+    op, rng = _StabilityOperator(ProblemConfig(problem=problem, n=n)), np.random.default_rng(n)
+    space, n_p = op.space, op.space.n_p
+    c = analysis._condense(space, _data(op, 2.0))
+    saddle = analysis._condense(space, _data(op, 2.0), (assemble_coupling(space), 0.0))
+    cols = space.condensation().cols
+    for parts, N in (
+            ((c.Binv, c.C[..., :6], c.G[..., :6], cols,
+              analysis.factor_with_inertia(c.schur)[0].solve), op.plan.shape[0]),
+            ((saddle.Binv, saddle.C, saddle.G, np.hstack([cols + n_p, space.mesh.triangles]),
+              lambda z: np.cos(z)), op.plan.shape[0] + n_p)):
+        for x in [rng.standard_normal(N) for _ in range(3)] + [
+                rng.standard_normal((N, k)) for k in (1, 8, 2, 8)]:
+            assert (analysis._bubble_solve(*parts, x).tobytes()
+                    == _bubble_solve_before(*parts, x).tobytes())
 
 
 def test_convergence_refuses_unstable():

@@ -1,5 +1,6 @@
-"""Quadrature rules, reference bases, dof maps and boundary conditions."""
+"""Quadrature rules, reference bases, dof maps, boundary conditions and scatter plans."""
 
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabmix import MixedSpace, build_structured_mesh, make_quadrature
+from stabmix.mesh import TriMesh
 from stabmix.spaces import MAX_QUAD_DEGREE, QuadratureRule, tabulate_scalar_basis
 
 
@@ -204,3 +206,98 @@ def test_constraint_components():
     assert 2 * k in sliding and 2 * k + 1 not in sliding
     k = xy[(0.0, 1.0)]             # open top: traction free
     assert 2 * k not in sliding and 2 * k + 1 not in sliding
+
+
+def sorted_plan(space, form, reduced):
+    """shape, indptr, indices and pos of a plan by one sort of the keys row * n_c + col
+    of every element-tensor entry, fixed dofs keyed last: the builder that plans were
+    derived by before basis-function pairs, kept as their oracle."""
+    u, n = space.numbering(reduced)
+    ub, tri = u.reshape(len(u), -1, 2), space.mesh.triangles
+    rows, cols, shape = {
+        "uu": (ub[:, :, None, :, None], ub[:, None, :, None, :], (n, n)),
+        "pu": (tri[:, :, None], u[:, None, :], (space.n_p, n)),
+        "pp": (tri[:, :, None], tri[:, None, :], (space.n_p, space.n_p)),
+    }[form]
+    n_r, n_c = shape
+    key = rows * np.int64(n_c) + cols
+    key[(rows == n_r) | (cols == n_c)] = n_r * n_c  # slot nnz
+    key = key.ravel()
+    slots = np.unique(key)
+    pos = np.searchsorted(slots, key)
+    slots = slots[:np.searchsorted(slots, n_r * n_c)]
+    return shape, np.searchsorted(slots, np.arange(n_r + 1) * np.int64(n_c)), slots % n_c, pos
+
+
+def assert_plans_match_oracle(space, reduced_options=(True, False)):
+    for form in ("uu", "pu", "pp"):
+        for reduced in reduced_options:
+            plan = space.scatter_plan(form, reduced)
+            shape, indptr, indices, pos = sorted_plan(space, form, reduced)
+            where = (space.mesh.n_nodes, space.problem, space.include_bubbles, form, reduced)
+            assert plan.shape == shape, where
+            for got, want in zip((plan.indptr, plan.indices, plan.pos), (indptr, indices, pos)):
+                assert got.dtype == np.int32 and np.array_equal(got, want), where
+
+
+def renumbered(mesh, seed):
+    """The mesh with its nodes and triangles in random order and each triangle's
+    vertices rotated at random, so counterclockwise still."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(mesh.n_nodes)  # new node j is old node order[j]
+    tri = np.argsort(order)[mesh.triangles][rng.permutation(mesh.n_triangles)]
+    turn = (np.arange(3) + rng.integers(3, size=(len(tri), 1))) % 3
+    return TriMesh(mesh.nodes[order], np.take_along_axis(tri, turn, axis=1))
+
+
+@pytest.mark.parametrize("renumber", [False, True])
+@pytest.mark.parametrize("include_bubbles", [True, False])
+@pytest.mark.parametrize("problem", [1, 2])
+def test_scatter_plans_match_sorted_oracle(problem, include_bubbles, renumber):
+    # the derivation from basis-function pairs needs no structured numbering
+    for n in range(2, 18):
+        mesh = build_structured_mesh(n)
+        mesh = renumbered(mesh, seed=n) if renumber else mesh
+        assert_plans_match_oracle(MixedSpace(mesh, problem, include_bubbles))
+
+
+def test_scatter_plans_with_wide_pair_keys():
+    # 70000 nodes, all but 25 in no triangle and numbered first: the pair keys
+    # i * n_basis + j outgrow 32 bits, and most basis functions pair with nothing
+    small = build_structured_mesh(5)
+    far = np.random.default_rng(0).uniform(-0.9, 0.9, (70000 - small.n_nodes, 2))
+    mesh = TriMesh(np.vstack([far, small.nodes]), small.triangles + len(far))
+    for problem in (1, 2):
+        for include_bubbles in (True, False):
+            space = MixedSpace(mesh, problem, include_bubbles)
+            assert (space.n_u // 2) ** 2 > 2 ** 32
+            assert_plans_match_oracle(space)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("problem", [1, 2])
+def test_scatter_plans_at_65(problem):
+    # a fresh 65x65 space builds its three plans from one sort of 131072 pair keys;
+    # 5.2 MB of them are the plans' own arrays
+    space = MixedSpace(build_structured_mesh(65), problem=problem)
+    tracemalloc.start()
+    try:
+        for form in ("uu", "pu", "pp"):
+            space.scatter_plan(form)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9e6 and retained <= 6e6
+    assert_plans_match_oracle(space)
+
+
+def test_assembly_sums_like_bincount():
+    # np.add.at takes each slot's entries in element order, as np.bincount did
+    rng = np.random.default_rng(0)
+    for n in (2, 5, 9, 17):
+        space = MixedSpace(build_structured_mesh(n), problem=n % 2 + 1)
+        for form in ("uu", "pu", "pp"):
+            plan = space.scatter_plan(form)
+            tensor = rng.standard_normal(len(plan.pos)) * 10.0 ** rng.integers(-8, 8, len(plan.pos))
+            want = np.bincount(plan.pos, tensor, minlength=len(plan.indices) + 1)[:-1]
+            assert plan.assemble(tensor).data.tobytes() == want.tobytes(), (n, form)
