@@ -19,8 +19,8 @@ test and each lambda_min of a verdict factor the block with the MINI bubbles
 condensed out element by element: its inertia is the 2x2 bubble blocks' plus the
 vertex Schur complement's, a third of the size (Haynsworth's inertia additivity,
 Linear Algebra Appl. 1, 1968).  Eigen-solves only propose step lengths, so their
-tolerances cannot make a verdict wrong; a Lanczos proposal that needs more than
-LANCZOS_RESTARTS restarts is the cap.
+tolerances cannot make a verdict wrong; a Lanczos proposal that does not converge
+within LANCZOS_STEPS steps is the cap.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ import scipy.sparse.linalg as spla
 
 from . import forms
 from .mesh import build_structured_mesh
-from .solvers import (LANCZOS_TOL, SaddleSystem, factor_with_inertia, ldlt_factor,
-                      smallest_eigenvalue, solve_saddle)
+from .solvers import (LANCZOS_TOL, SaddleSystem, factor_with_inertia, largest_ritz_value,
+                      ldlt_factor, smallest_eigenvalue, solve_saddle)
 from .spaces import MixedSpace
 
 # inf-sup eigenvalues below KERNEL_RTOL * INFSUP_BOUND are kernel modes; none
@@ -49,7 +49,7 @@ INFSUP_SHIFT = -1e-5  # Lanczos shift below the spectrum [0, 2], near its bottom
 # BISECT_TOL <= 1e-11 the search was measured to stop with "not positive definite",
 # and at <= 1e-12 to differ between processes: re-measure before lowering it
 BISECT_TOL, GAMMA_CAP = 0.01, 1e6
-LANCZOS_RESTARTS = 10  # ARPACK restarts of a step proposal; finite crossings took <= 5
+LANCZOS_STEPS = 120  # of a step proposal; finite crossings on 5...33 nodes took <= 65
 
 
 @dataclass(frozen=True)
@@ -346,12 +346,12 @@ def _certified_limit(pencil: _Pencil, trace: list) -> float:
 
     At each a, a ray test returns sign*inf if A'(a) > 0 (for a linear pencil at a = 0
     only), and for a quadratic one the tail certificate ends it with the step (a, cap).
-    Else the largest eigenvalue theta of -A'(a) x = theta A(a) x, by Lanczos on
-    the solves of A(a)'s factor, proposes 0.999/theta (the cap if theta <= 0 or it
-    does not converge within LANCZOS_RESTARTS restarts), halved until the tangent
-    passes.  After a step of at most BISECT_TOL, a failed test at a + BISECT_TOL
-    ends the search at a, once smallest_eigenvalue confirms lambda < 0 there on the
-    same factorization.  A step that does not advance a raises ArithmeticError.
+    Else the largest eigenvalue theta of -A'(a) x = theta A(a) x, by largest_ritz_value
+    on the solves of A(a)'s factor, proposes 0.999/theta (the cap if theta <= 0 or it
+    does not converge within LANCZOS_STEPS steps), halved until the tangent passes.
+    After a step of at most BISECT_TOL, a failed test at a + BISECT_TOL ends the search
+    at a, once smallest_eigenvalue confirms lambda < 0 there on the same factorization.
+    A step that does not advance a raises ArithmeticError.
     """
     tol, cap, sign, a = BISECT_TOL, GAMMA_CAP, pencil.sign, 0.0
     while a < cap:
@@ -368,16 +368,8 @@ def _certified_limit(pencil: _Pencil, trace: list) -> float:
         if ray:  # A(s) >= A(a) + (s - a)*A'(a) > 0 for every s >= a
             trace.append(CertifiedStep(sign * a, sign * math.inf))
             return sign * math.inf
-        M = pencil.csr(A)
-        minv = spla.LinearOperator(M.shape, matvec=f.solve, dtype=float)
-        try:
-            theta = float(spla.eigsh(
-                -pencil.csr(dA), k=1, M=M, Minv=minv, which="LA", tol=1e-3,
-                maxiter=LANCZOS_RESTARTS, v0=np.ones(M.shape[0]),
-                return_eigenvectors=False)[0])
-        except spla.ArpackNoConvergence:
-            theta = 0.0  # no proposal: the cap, halved
-        t = cap - a if theta <= 0.0 else min(0.999 / theta, cap - a)
+        theta = largest_ritz_value(pencil.csr(-dA), pencil.csr(A), f.solve, LANCZOS_STEPS)
+        t = cap - a if theta is None or theta <= 0.0 else min(0.999 / theta, cap - a)
         while a + t > a and pencil.factor(A + t * dA)[1] != 0:
             t *= 0.5
         if not a + t > a:  # theta NaN, or t below the resolution of a

@@ -43,18 +43,17 @@ LOAD_QUAD_DEGREE = 10
 
 
 def _element_geometry(space: MixedSpace):
-    """Vertices, jacobian determinants and inverse-transposed jacobians;
-    the columns of J span the triangle edges."""
-    p = space.mesh.nodes[space.mesh.triangles]
-    J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
-    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    invJT = np.empty_like(J)
-    invJT[:, 0, 0] = J[:, 1, 1]
-    invJT[:, 0, 1] = -J[:, 1, 0]
-    invJT[:, 1, 0] = -J[:, 0, 1]
-    invJT[:, 1, 1] = J[:, 0, 0]
-    invJT /= det[:, None, None]
-    return p, det, invJT
+    """Vertices, jacobian determinants and inverse-transposed jacobians, computed once
+    per space and read-only; the columns of J span the triangle edges."""
+    if "geometry" not in space._plans:
+        p = space.mesh.nodes[space.mesh.triangles]
+        J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        invJT = np.stack([J[:, 1, 1], -J[:, 1, 0], -J[:, 0, 1], J[:, 0, 0]], axis=-1)
+        space._plans["geometry"] = p, det, invJT.reshape(-1, 2, 2) / det[:, None, None]
+        for a in space._plans["geometry"]:
+            a.setflags(write=False)
+    return space._plans["geometry"]
 
 
 def _reference_table(space: MixedSpace, degree: int = QUAD_DEGREE):

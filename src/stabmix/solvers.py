@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 # relative tolerances: asymmetry taken as roundoff, accepted saddle residual
 SYMMETRY_RTOL = 1e-10
@@ -133,6 +134,29 @@ def smallest_eigenvalue(S, shifted=None) -> float:
                       v0=np.ones(n), return_eigenvectors=False, tol=LANCZOS_TOL,
                       ncv=min(NCV, n) if sigma == 0.0 else None)
     return float(vals[0])
+
+
+def largest_ritz_value(K, M, solve, steps: int):
+    """Largest Ritz value theta of K x = lambda M x, M > 0, solve(b) = M^-1 b: Lanczos in
+    the M inner product from a seeded Gaussian start stops at the first step whose residual
+    bound beta_{j+1}*|s_j| (s: T_j's top eigenvector) is at most 1e-3*|theta| (ARPACK's
+    test; theta is then that close to some lambda, below lambda_max if the run stalls on
+    a cluster), or returns None after `steps`.  Only theta is read: no basis is kept,
+    nothing is reorthogonalized, and a Ritz value exceeds lambda_max only by roundoff."""
+    z = np.random.default_rng(0).standard_normal(M.shape[0])
+    Mv, v, alpha, beta = 0.0, 0.0, [], [np.sqrt(z @ (r := M @ z))]  # r = M z throughout
+    for j in range(steps):
+        (Mv_prev, Mv), (v_prev, v) = (Mv, r / beta[-1]), (v, z / beta[-1])
+        alpha.append(v @ (r := K @ v))
+        r -= alpha[-1] * Mv + beta[-1] * Mv_prev
+        z = solve(r)
+        beta.append(np.sqrt(max(z @ r, 0.0)))
+        # T_j's top eigenpair by MRRR (range 3: by index); dstemr overwrites its e
+        _, w, s, info = lapack.dstemr(np.array(alpha), np.array(beta[1:]), 3, 0.0, 0.0,
+                                      j + 1, j + 1)
+        if not info and beta[-1] * abs(s[j, 0]) <= 1e-3 * abs(w[0]):
+            return float(w[0])
+    return None
 
 
 @dataclass(frozen=True)

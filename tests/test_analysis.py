@@ -340,41 +340,47 @@ def _trace_of(cfg, sign, factored=None, certified=None):
     return analysis._certified_limit(pencil, trace), trace
 
 
+def _proposals(monkeypatch):
+    """Record each step proposal of the search as (theta, its number of solves)."""
+    real, calls = analysis.largest_ritz_value, []
+
+    def counted(K, M, solve, steps):
+        solves = []
+        theta = real(K, M, lambda b: solves.append(None) or solve(b), steps)
+        calls.append((theta, len(solves)))
+        return theta
+
+    monkeypatch.setattr(analysis, "largest_ritz_value", counted)
+    return calls
+
+
 @pytest.mark.parametrize("n", [5, 9, 17])
 def test_lanczos_budget_keeps_finite_directions(monkeypatch, n):
-    # the restart budget bounds only the proposal: directions whose Lanczos
-    # solves converge within it take bit-identical steps and crossings
+    # the step budget bounds only the proposal: directions whose Lanczos
+    # runs converge within it take bit-identical steps and crossings
     cases = [(ProblemConfig(problem=p, n=n, **w), sign)
              for p in (1, 2) for w in ({}, {"m1": 0.0, "m2": 0.0})
              for sign in (1.0, -1.0)]
     cases = [(c, s) for c, s in cases if not (c.problem == 2 and c.m2 and s < 0)]
+    calls = _proposals(monkeypatch)
     budgeted = [_trace_of(cfg, sign) for cfg, sign in cases]
-    monkeypatch.setattr(analysis, "LANCZOS_RESTARTS", 10 ** 6)
+    assert calls and all(theta is not None for theta, _ in calls)
+    monkeypatch.setattr(analysis, "LANCZOS_STEPS", 10 ** 6)
     assert budgeted == [_trace_of(cfg, sign) for cfg, sign in cases]
     assert sum(math.isfinite(limit) for limit, _ in budgeted) >= 5
 
 
 def test_lanczos_budget_proposes_the_cap(monkeypatch):
     # 33x33 problem 2's unbounded direction: the kernel certificate fails at
-    # gt = 0, and the one Lanczos proposal needs more restarts than the budget,
-    # so the cap, halved until the tangent test passes, steps first; at its end
-    # the kernel certificate closes the tail up to the cap
-    real, outcomes = spla.eigsh, []
-
-    def recorded(*args, **kwargs):
-        try:
-            outcomes.append(real(*args, **kwargs))
-        except spla.ArpackNoConvergence:
-            outcomes.append(None)
-            raise
-        return outcomes[-1]
-
-    monkeypatch.setattr(analysis.spla, "eigsh", recorded)
-    tests, certificates = [], []
+    # gt = 0, and the one Lanczos proposal does not converge within the
+    # budget, so the cap, halved until the tangent test passes, steps first; at
+    # its end the kernel certificate closes the tail up to the cap
+    calls, tests, certificates = _proposals(monkeypatch), [], []
     limit, trace = _trace_of(ProblemConfig(problem=2, n=33), -1.0, tests, certificates)
-    assert limit == -math.inf and outcomes == [None]
+    assert limit == -math.inf and calls == [(None, analysis.LANCZOS_STEPS)]
     first = -trace[0].hi / analysis.GAMMA_CAP
     assert first == 2.0 ** round(math.log2(first)) < 1.0
+    assert trace[0].hi == pytest.approx(-122.07, abs=0.01)
     assert trace == [CertifiedStep(-0.0, trace[0].hi),
                      CertifiedStep(trace[0].hi, -analysis.GAMMA_CAP)]
     # the ray tests at both step starts, A(0)'s test for the proposal, then one
@@ -382,28 +388,93 @@ def test_lanczos_budget_proposes_the_cap(monkeypatch):
     assert len(certificates) == 2 and len(tests) == 3 + 1 - round(math.log2(first))
 
 
+@pytest.mark.parametrize("n", [5, 9])
+@pytest.mark.parametrize("problem", [1, 2])
+@pytest.mark.parametrize("weights", [{}, {"m1": 0.0, "m2": 0.0}], ids=["stab", "m0"])
+def test_proposal_matches_dense_pencil(monkeypatch, n, problem, weights):
+    # each direction's proposals at gt = 0 and at its first step's end against the
+    # eigenvalues of the uncondensed pencil -A'(a) x = lambda A(a) x: never above the
+    # largest beyond roundoff, within the stop test's 1e-3 of one of them, and the same
+    # bit for bit when run again.  Within 1e-3 of the largest everywhere but 5x5
+    # classical problem 1 at gt = 0: four eigenvalues within 1.5e-3 of each other top
+    # the spectrum, its Ritz value stalls at 0.77604, below three of them, from step 12
+    # to 20 while the largest is still hidden, the stop test passes at step 15, and the
+    # tangent test halves that proposal once.  5x5 stabilized problem 1 proposes nothing:
+    # ray tests prove both directions
+    real, runs, short, seen = analysis.largest_ritz_value, [], [], 0
+    monkeypatch.setattr(analysis, "largest_ritz_value",
+                        lambda *args: runs.append(args) or real(*args))
+    for sign in (1.0, -1.0):
+        runs.clear()
+        _trace_of(ProblemConfig(problem=problem, n=n, **weights), sign)
+        for i, (K, M, solve, steps) in enumerate(runs[:2]):
+            seen += 1
+            theta, lam = real(K, M, solve, steps), sla.eigh(
+                K.toarray(), M.toarray(), eigvals_only=True)
+            assert real(K, M, solve, steps) == theta
+            assert theta <= lam[-1] + 1e-9 * abs(lam[-1])
+            assert np.min(np.abs(lam - theta)) <= 1e-3 * abs(theta)
+            if theta < lam[-1] - 1e-3 * abs(lam[-1]):
+                short.append((sign, i))
+    stalled = n == 5 and problem == 1 and not weights.get("m1", 1.0)
+    assert short == ([(1.0, 0)] if stalled else [])
+    assert seen or (n, problem, weights) == (5, 1, {})
+
+
+def test_proposal_solve_counts(monkeypatch):
+    # the stabilized searches of the critical-load table (5...17 nodes): at
+    # most 240 solves in all, and every proposal after a direction's first
+    # starts near the crossing and converges within 5
+    calls, firsts = _proposals(monkeypatch), []
+    for n in (5, 9, 17):
+        for problem in (1, 2):
+            for sign in (1.0, -1.0):
+                firsts.append(len(calls))
+                _trace_of(ProblemConfig(problem=problem, n=n), sign)
+    assert sum(solves for _, solves in calls) <= 240
+    assert all(solves <= 5 for i, (_, solves) in enumerate(calls) if i not in firsts)
+    assert len(calls) > len(set(firsts))
+
+
+def test_proposal_gives_up_at_the_budget(monkeypatch, factor_budget):
+    # a budget too small for 9x9 problem 1's first proposal: it takes exactly
+    # that many solves, and the cap, halved until the tangent test passes,
+    # steps first; the search then goes on to the same crossing
+    calls = _proposals(monkeypatch)
+    monkeypatch.setattr(analysis, "LANCZOS_STEPS", 3)
+    limit, trace = _trace_of(ProblemConfig(problem=1, n=9), 1.0)
+    assert calls[0] == (None, 3)
+    first = trace[0].hi / analysis.GAMMA_CAP
+    assert first == 2.0 ** round(math.log2(first)) < 1.0
+    assert limit == pytest.approx(14.687, abs=analysis.BISECT_TOL)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("sign,limit", [(1.0, 6.7367), (-1.0, -307.21)])
 def test_critical_loads_65_problem1(sign, limit):
     # gamma_m is finite at 65x65 (the ray test fails there), and its first
-    # Lanczos proposal exceeds the restart budget: the cap, halved, steps first
+    # Lanczos proposal exceeds the step budget: the cap, halved, steps first
     got, trace = _trace_of(ProblemConfig(problem=1, n=65), sign)
     assert got == pytest.approx(limit, abs=analysis.BISECT_TOL)
     assert isinstance(trace[-1], Crossing) and trace[-1].lam < 0.0
     if sign < 0:
         first = -trace[0].hi / analysis.GAMMA_CAP
         assert first == 2.0 ** round(math.log2(first))
+        assert trace[0].hi == pytest.approx(-244.14, abs=0.01)
 
 
 @pytest.mark.slow
 def test_kernel_certificate_65_problem2(monkeypatch):
     # the certificate's linear lower bound reaches down to about s = 400 at
-    # 65x65, so problem 2's unbounded direction takes a few Lanczos steps
-    # before the certificate closes it
-    calls = _count_eigsh(monkeypatch)
+    # 65x65, so problem 2's unbounded direction takes a few tangent steps
+    # before the certificate closes it: the halved cap, as the first proposal
+    # gives up, then one per proposal
+    calls = _proposals(monkeypatch)
     limit, trace = _trace_of(ProblemConfig(problem=2, n=65), -1.0)
     assert limit == -math.inf and trace[-1].hi == -analysis.GAMMA_CAP
     assert 300.0 < -trace[-1].lo < 1e3 and len(calls) == len(trace) - 1 <= 4
+    assert calls[0] == (None, analysis.LANCZOS_STEPS)
+    assert trace[0].hi == pytest.approx(-61.04, abs=0.01)
 
 
 def _dense_kernel_forms(op, sign):
@@ -535,23 +606,11 @@ def test_find_stability_limits_small_mesh():
     assert crossings[0].load == pytest.approx(rep.gamma_M + analysis.BISECT_TOL)
 
 
-def _count_eigsh(monkeypatch):
-    calls = []
-    real = spla.eigsh
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(analysis.spla, "eigsh", counted)
-    return calls
-
-
 @pytest.mark.parametrize("n", [9, 17])
 def test_ray_proof_settles_unbounded_direction(monkeypatch, n):
     # problem 1's A'(0) = m1*S + mu*R is positive definite under negative
     # loads, which proves A > 0 on the whole ray from one factorization
-    calls = _count_eigsh(monkeypatch)
+    calls = _proposals(monkeypatch)
     limit, trace = _trace_of(ProblemConfig(problem=1, n=n), -1.0)
     assert limit == -math.inf
     assert trace == [CertifiedStep(-0.0, -math.inf)]
@@ -564,7 +623,7 @@ def test_tail_steps_skip_lanczos(monkeypatch, factor_budget):
     # certificate proves the negative direction up to the cap at gt = 0:
     # one step, with no tangent test and no Lanczos solve: the search's own one
     # factorization is the ray test of A'(0)
-    calls, tests = _count_eigsh(monkeypatch), []
+    calls, tests = _proposals(monkeypatch), []
     for n in (5, 9, 17):
         cfg = ProblemConfig(problem=2, n=n)
         limit, trace = _trace_of(cfg, -1.0, tests, [])
@@ -583,14 +642,14 @@ def test_linear_block_grows_no_step(monkeypatch):
     monkeypatch.setattr(analysis, "factor_with_inertia",
                         lambda A: calls.append(None) or real(A))
     limit, trace = _trace_of(ProblemConfig(problem=1, n=9), 1.0)
-    ends = (0.0, 14.672503421350756, 14.687175912877969, 14.6871905853687)
+    ends = (0.0, 14.672504687463508, 14.687175916973294, 14.68719058537317)
     assert limit == pytest.approx(ends[-1], rel=1e-12)
     steps, (crossing,) = trace[:-1], trace[-1:]
     assert [s.lo for s in steps] == pytest.approx(ends[:-1], rel=1e-12)
     assert [s.hi for s in steps] == pytest.approx(ends[1:], rel=1e-12)
     assert isinstance(crossing, Crossing)
-    assert crossing.load == pytest.approx(14.6971905853687, rel=1e-12)
-    assert crossing.lam == pytest.approx(-0.015688121188100743, rel=1e-6)
+    assert crossing.load == pytest.approx(14.69719058537317, rel=1e-12)
+    assert crossing.lam == pytest.approx(-0.015688121196289023, rel=1e-6)
     assert len(calls) == 8
 
 
@@ -601,7 +660,7 @@ def test_unconfirmed_crossing_raises(monkeypatch):
 
 
 def test_nan_step_raises(monkeypatch, factor_budget):
-    monkeypatch.setattr(analysis.spla, "eigsh", lambda *a, **k: np.array([np.nan]))
+    monkeypatch.setattr(analysis, "largest_ritz_value", lambda *a: np.nan)
     tol = re.escape(f"bisect_tol = {analysis.BISECT_TOL:g}")
     with pytest.raises(ArithmeticError, match=r"gamma_tilde = 0\.0 .*" + tol):
         find_stability_limits(ProblemConfig(problem=1, n=9))
@@ -612,8 +671,7 @@ def test_step_below_resolution_raises(monkeypatch, factor_budget):
     # (gamma_M = 14.69); every later one is a step of 1e-30, which 1.0 + t
     # rounds away
     thetas = iter([0.999])
-    monkeypatch.setattr(analysis.spla, "eigsh",
-                        lambda *a, **k: np.array([next(thetas, 1e30)]))
+    monkeypatch.setattr(analysis, "largest_ritz_value", lambda *a: next(thetas, 1e30))
     tol = re.escape(f"bisect_tol = {analysis.BISECT_TOL:g}")
     with pytest.raises(ArithmeticError, match=r"gamma_tilde = 1\.0 .*" + tol):
         find_stability_limits(ProblemConfig(problem=1, n=9))
