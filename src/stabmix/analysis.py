@@ -15,11 +15,11 @@ loads are found by tangent steps outward from gt = 0, reading the pencil alone: 
 LDL^T test of the tangent A(a) + (b - a)*A'(a) proves A > 0 on [a, b]; with
 A(a) > 0, one of A'(a) proves it on the ray [a, inf); with m2 > 0 the pencil's tail,
 a certificate on ker S, where A(s)/s^2 -> m2*S is singular, on [a, GAMMA_CAP].  Each
-test and each lambda_min of a verdict factor the block with the MINI bubbles
-condensed out element by element: its inertia is the 2x2 bubble blocks' plus the
-vertex Schur complement's, a third of the size (Haynsworth's inertia additivity,
-Linear Algebra Appl. 1, 1968).  Eigen-solves only propose step lengths, so their
-tolerances cannot make a verdict wrong; a Lanczos proposal that does not converge
+test and each verdict factor the block with the MINI bubbles condensed out element by
+element: its inertia is the 2x2 bubble blocks' plus the vertex Schur complement's, a
+third of the size (Haynsworth's inertia additivity, Linear Algebra Appl. 1, 1968), and
+the count decides.  Eigen-solves only propose step lengths and measure lambda_min, so
+their tolerances cannot make a verdict wrong; a Lanczos proposal that does not converge
 within LANCZOS_STEPS steps is the cap.
 """
 
@@ -206,9 +206,9 @@ def _bubble_solve(Binv, C, G, cols, inner, x):
     return np.concatenate([z[:nr], (y - dot(G, z.take(cols, axis=0))).reshape(-1, *m)])
 
 
-class _Pencil(namedtuple("_Pencil", "sign K0 Kd K2 factor csr lambda_min tail")):
+class _Pencil(namedtuple("_Pencil", "sign K0 Kd K2 factor csr verdict tail")):
     """The block A(s) = K0 + s*Kd + s^2*K2, s = |gt|, of the loading direction sign as
-    data over one CSR pattern, its operator's factor, csr and lambda_min, and tail(a,
+    data over one CSR pattern, its operator's factor, csr and verdict, and tail(a,
     below), a certificate of A > 0 on [a, GAMMA_CAP]; K2 and tail are None if linear."""
 
     def at(self, s: float):
@@ -240,7 +240,7 @@ class _StabilityOperator:
         Kd = -sign * cfg.mu * self.R + cfg.m1 * self.S
         K2 = cfg.m2 * self.S if cfg.m2 > 0 else None
         tail = None if K2 is None else functools.partial(self.kernel_certified, Kd, K2)
-        return _Pencil(sign, self.K0, Kd, K2, self.factor, self.csr, self.lambda_min, tail)
+        return _Pencil(sign, self.K0, Kd, K2, self.factor, self.csr, self.verdict, tail)
 
     def csr(self, data) -> sp.csr_matrix:
         """The operator of data over the plan's shared arrays: never modify it."""
@@ -259,36 +259,40 @@ class _StabilityOperator:
         return (types.SimpleNamespace(solve=solve),
                 None if nonpositive is None else c.below + nonpositive)
 
-    def lambda_min(self, data, at_zero=None) -> float:
-        """smallest_eigenvalue of block data on its condensed factorizations; at_zero,
-        factor(data) taken already, serves the shift sigma = 0."""
-        eye = self.space.condensation().eye
-        return smallest_eigenvalue(self.csr(data), lambda s: at_zero if at_zero and s == 0
-                                   else self.factor(data - s * eye))
+    def verdict(self, data, f):
+        """(lambda_min, A > 0) of block data, given f = factor(data): f's count decides, and
+        smallest_eigenvalue, on f at sigma = 0 and on condensed factorizations below, must
+        agree in sign; ArithmeticError if it does not or the count proves nothing."""
+        lam = smallest_eigenvalue(self.csr(data), lambda s: f if s == 0 else self.factor(
+            data - s * self.space.condensation().eye))
+        if f[1] is None or (f[1] == 0) != (lam > 0.0):
+            raise ArithmeticError(f"the LDL^T counts {f[1]} non-positive eigenvalues but "
+                                  f"lambda_min = {lam:.6e}")
+        return lam, f[1] == 0
 
     @functools.cached_property
     def kernel(self):
-        """(Z, I), Z orthonormal on ker S by two block inverse iteration sweeps on S +
-        eps*I, eps = 1e-12*max|S|, and Rayleigh-Ritz (the block doubles until a Ritz value
-        is >= eps, and it must be >= 1e3*eps), I pivot rows of a QR of Z^T; or None."""
-        S, eps, b = self.csr(self.S), 1e-12 * np.abs(self.S).max(), 16
-        solve = self.factor(self.S + eps * self.space.condensation().eye)[0].solve
-        while b < S.shape[0]:
-            Y = np.cos(np.outer(np.arange(1.0, S.shape[0] + 1), np.arange(1.0, b + 1)))
-            for _ in range(2):  # 8 columns at a time, for a small peak RSS
-                Y = np.hstack([solve(Y[:, j:j + 8]) for j in range(0, b, 8)])
-                Y = np.linalg.qr(Y)[0]
-            theta, V = np.linalg.eigh(Y.T @ (S @ Y))
-            if (k := int(np.searchsorted(theta, eps))) < b:
-                Z, I, L = Y @ V[:, :k], [], np.zeros((len(Y), k))
-                d = np.einsum("ij,ij->i", Z, Z)
-                for j in range(k):  # pivoted Cholesky of Z Z^T
-                    I.append(i := int(np.argmax(d)))
-                    L[:, j] = (Z @ Z[i] - L[:, :j] @ L[i, :j]) / math.sqrt(d[i])
-                    d -= L[:, j] ** 2
-                return (Z, np.array(I)) if k and theta[k] >= 1e3 * eps else None
-            b *= 2
-        return None
+        """(Z, I) or None: Z orthonormal on ker S by two block inverse iteration sweeps on
+        k + 1 columns with the LDL^T of S - eps*I, eps = 1e-12*max|S|, whose count is k, and
+        Rayleigh-Ritz (k values < eps, the next >= 1e3*eps); I pivot rows of a QR of Z^T."""
+        S, eps = self.csr(self.S), 1e-12 * np.abs(self.S).max()
+        f, k = self.factor(self.S - eps * self.space.condensation().eye)
+        if not k:  # None, or no kernel
+            return None
+        Y = np.cos(np.outer(np.arange(1.0, S.shape[0] + 1), np.arange(1.0, k + 2)))
+        for _ in range(2):  # 8 columns at a time, for a small peak RSS
+            Y = np.hstack([f.solve(Y[:, j:j + 8]) for j in range(0, k + 1, 8)])
+            Y = np.linalg.qr(Y)[0]
+        theta, V = np.linalg.eigh(Y.T @ (S @ Y))
+        if np.searchsorted(theta, eps) != k or theta[k] < 1e3 * eps:
+            return None
+        Z, I, L = Y @ V[:, :k], [], np.zeros((len(Y), k))
+        d = np.einsum("ij,ij->i", Z, Z)
+        for j in range(k):  # pivoted Cholesky of Z Z^T
+            I.append(i := int(np.argmax(d)))
+            L[:, j] = (Z @ Z[i] - L[:, :j] @ L[i, :j]) / math.sqrt(d[i])
+            d -= L[:, j] ** 2
+        return Z, np.array(I)
 
     def kernel_certified(self, Kd, K2, a: float, below: int | None = 0) -> bool:
         """Whether the kernel certificate (README, "Numerics") proves A > 0 on [a, cap]:
@@ -332,13 +336,11 @@ class _StabilityOperator:
 
 
 def is_stable(cfg: ProblemConfig):
-    """Smallest eigenvalue of the stabilized block at cfg.gamma_tilde.
-
-    Returns (lambda_min, verdict) with verdict True iff lambda_min > 0.
-    """
+    """(lambda_min, verdict) of the stabilized block at cfg.gamma_tilde: verdict is True
+    iff its LDL^T has no non-positive pivot, as _StabilityOperator.verdict decides."""
     op, gt = _StabilityOperator(cfg), cfg.gamma_tilde
-    lam = op.lambda_min(op.pencil(math.copysign(1.0, gt)).at(abs(gt)))
-    return lam, lam > 0.0
+    data = op.pencil(math.copysign(1.0, gt)).at(abs(gt))
+    return op.verdict(data, op.factor(data))
 
 
 def _certified_limit(pencil: _Pencil, trace: list) -> float:
@@ -350,7 +352,7 @@ def _certified_limit(pencil: _Pencil, trace: list) -> float:
     on the solves of A(a)'s factor, proposes 0.999/theta (the cap if theta <= 0 or it
     does not converge within LANCZOS_STEPS steps), halved until the tangent passes.
     After a step of at most BISECT_TOL, a failed test at a + BISECT_TOL ends the search
-    at a, once smallest_eigenvalue confirms lambda < 0 there on the same factorization.
+    at a, once the verdict's lambda_min confirms it there on the same factorization.
     A step that does not advance a raises ArithmeticError.
     """
     tol, cap, sign, a = BISECT_TOL, GAMMA_CAP, pencil.sign, 0.0
@@ -368,7 +370,8 @@ def _certified_limit(pencil: _Pencil, trace: list) -> float:
         if ray:  # A(s) >= A(a) + (s - a)*A'(a) > 0 for every s >= a
             trace.append(CertifiedStep(sign * a, sign * math.inf))
             return sign * math.inf
-        theta = largest_ritz_value(pencil.csr(-dA), pencil.csr(A), f.solve, LANCZOS_STEPS)
+        theta = largest_ritz_value(pencil.csr(-dA), pencil.csr(A), f.solve, LANCZOS_STEPS,
+                                   1e-3)
         t = cap - a if theta is None or theta <= 0.0 else min(0.999 / theta, cap - a)
         while a + t > a and pencil.factor(A + t * dA)[1] != 0:
             t *= 0.5
@@ -379,11 +382,7 @@ def _certified_limit(pencil: _Pencil, trace: list) -> float:
         a = min(a + t, cap)
         end = sign * min(a + tol, cap)
         if t <= tol and a < cap and (f := pencil.factor(E := pencil.at(abs(end))))[1] != 0:
-            lam = pencil.lambda_min(E, f)
-            trace.append(Crossing(end, lam))
-            if not lam < 0.0:
-                raise ArithmeticError(f"not positive definite at gamma_tilde = {end:g}"
-                                      f" but lambda_min = {lam:.6e} is not negative")
+            trace.append(Crossing(end, pencil.verdict(E, f)[0]))
             return sign * a
     return sign * math.inf
 
@@ -485,7 +484,7 @@ def run_convergence(cfg: ProblemConfig, meshes) -> ConvergenceTable:
     positive definite), and reports pressure/displacement errors with the
     observed pressure order log(e_prev/e) / log(h_prev/h), h = 2/(n - 1).
     Each mesh eliminates the MINI bubbles from the block and the coupling once:
-    the vertex factorization gives lambda_min, solve_saddle solves the condensed
+    the vertex factorization gives the verdict, solve_saddle solves the condensed
     saddle [[A^, B^^T], [B^, -D]], and the bubbles follow element by element.
 
     The displacement error is measured on the vertex (conforming P1) part
@@ -504,9 +503,9 @@ def run_convergence(cfg: ProblemConfig, meshes) -> ConvergenceTable:
         space, gt = op.space, c.gamma_tilde
         data = op.pencil(math.copysign(1.0, gt)).at(abs(gt))
         parts = _condense(space, data, (forms.assemble_coupling(space), 0.0))
-        lam = op.lambda_min(data, op.factor(data, parts))
+        lam, stable = op.verdict(data, op.factor(data, parts))
         del op, data  # its assembled parts would stay alive through the saddle solve
-        if not lam > 0.0 or parts is None:
+        if not stable:
             raise ValueError(
                 f"stabilized block is not positive definite on the {n}x{n} "
                 f"mesh at gamma_tilde = {c.gamma_tilde} "

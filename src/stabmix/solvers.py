@@ -4,8 +4,8 @@ Every factorization is ``ldlt_factor``'s: SuperLU in a symmetric
 fill-reducing order with diagonal pivots preferred.  ``smallest_eigenvalue``
 takes a shift sigma with at most one negative LDL^T pivot of A - sigma*I, so at
 most one eigenvalue below it (sigma = 0 first, then geometric steps down and a
-bisection), and runs shift-invert Lanczos to LANCZOS_TOL about it, on NCV vectors
-at sigma = 0, from a fixed start vector, so results are deterministic.  The
+bisection), and runs ``largest_ritz_value`` to LANCZOS_TOL on +-(A - sigma*I)^-1
+from a seeded start vector, so results are deterministic.  The
 stability block passes its factorization with the MINI bubbles condensed out, a
 third of the size, in place of this LDL^T.  The convergence saddles come condensed
 too: at 33x33 the order keeps 0.29-0.31M nonzeros in L + U, COLAMD 0.40-0.42M, and
@@ -24,12 +24,8 @@ from scipy.linalg import lapack
 # relative tolerances: asymmetry taken as roundoff, accepted saddle residual
 SYMMETRY_RTOL = 1e-10
 RESIDUAL_RTOL = 1e-10
-# Lanczos basis at sigma = 0, at most n: 33x33 verdicts (five bands, two reference
-# loads) took 7-19 solves with 6 vectors, 21 with ARPACK's default 20, at tol = 0.  Below
-# 0 the default stays: far under a cluster, 9x9 classical gt = 2 had taken 11047 with 6
-NCV = 6
-# ARPACK's residual tolerance; Ritz values converge quadratically in it.  Against 0
-# (machine precision) 33x33 verdicts took 7-10 solves instead of 7-16, lambda moving
+# Lanczos residual tolerance of lambda_min and beta1; Ritz values converge quadratically in
+# it.  Against 0 (by ARPACK) 33x33 verdicts took 7-10 solves instead of 7-16, lambda moving
 # by at most 7.1e-16 relative, and beta1 by at most 3.7e-13 on 2..17, 33, 65 nodes
 LANCZOS_TOL = 1e-8
 
@@ -94,15 +90,16 @@ def _shift_below_spectrum(A, shifted):
     sigma*I is strictly diagonally dominant with a positive diagonal, so the walk ends
     there at the latest; a refusal at that point raises instead of searching on.
     """
-    diag = A.diagonal()
-    row_abs = np.asarray(abs(A).sum(axis=1)).ravel()
-    gershgorin = float(np.min(diag + np.abs(diag) - row_abs))
-    step = width = 1e-8 * (float(row_abs.max()) or 1.0)
-    sigma, lo, hi = 0.0, None, 0.0  # no eigenvalue below lo, two or more below hi
+    sigma, lo, hi, gershgorin = 0.0, None, 0.0, None  # none below lo, two or more below hi
     while True:
         lu, below = shifted(sigma)
         if below == 1 or below == 0 and (sigma == 0.0 or hi - sigma <= width):
             return sigma, lu, below
+        if gershgorin is None:  # only when sigma = 0 does not end the search
+            diag = A.diagonal()
+            row_abs = np.asarray(abs(A).sum(axis=1)).ravel()
+            gershgorin = float(np.min(diag + np.abs(diag) - row_abs))
+            step = width = 1e-8 * (float(row_abs.max()) or 1.0)
         if below != 0 and sigma < gershgorin:
             raise ArithmeticError(
                 f"no LDL^T factorization of A - sigma*I with at most one negative "
@@ -115,10 +112,11 @@ def _shift_below_spectrum(A, shifted):
 def smallest_eigenvalue(S, shifted=None) -> float:
     """Smallest algebraic eigenvalue of a symmetric matrix.
 
-    Raises NonSymmetricMatrixError when the input violates the symmetry
-    tolerance (SYMMETRY_RTOL relative), and ValueError on non-finite entries;
-    otherwise the symmetrized matrix is used.  A given shifted(sigma) returns
-    A - sigma*I factored as factor_with_inertia does; S is then taken as is.
+    Raises NonSymmetricMatrixError when the input violates the symmetry tolerance
+    (SYMMETRY_RTOL relative), and ValueError on non-finite entries; otherwise the
+    symmetrized matrix is used.  A given shifted(sigma) returns A - sigma*I factored as
+    factor_with_inertia does; S is then taken as is.  ArithmeticError if Lanczos takes
+    more than n steps.
     """
     A = _as_symmetric(S, "eigenvalue input") if shifted is None else S
     shifted = shifted or (lambda sigma: factor_with_inertia(
@@ -127,22 +125,24 @@ def smallest_eigenvalue(S, shifted=None) -> float:
     if n == 1:
         return float(A[0, 0])
     sigma, lu, below = _shift_below_spectrum(A, shifted)
-    opinv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
     # nu = 1/(lambda - sigma): with no eigenvalue below sigma lambda_min has the
-    # largest |nu|, with one it has the only negative nu
-    vals = spla.eigsh(A, k=1, sigma=sigma, which="SA" if below else "LM", OPinv=opinv,
-                      v0=np.ones(n), return_eigenvectors=False, tol=LANCZOS_TOL,
-                      ncv=min(NCV, n) if sigma == 0.0 else None)
-    return float(vals[0])
+    # largest nu, with one the only negative nu, the largest of -nu
+    sign = -1.0 if below else 1.0
+    inverse = spla.LinearOperator(A.shape, matvec=lambda x: sign * lu.solve(x), dtype=float)
+    theta = largest_ritz_value(inverse, sp.identity(n), lambda r: r, n, LANCZOS_TOL)
+    if theta is None:
+        raise ArithmeticError(f"Lanczos about sigma = {sigma:.6e} took over {n} steps")
+    return sigma + sign / theta
 
 
-def largest_ritz_value(K, M, solve, steps: int):
+def largest_ritz_value(K, M, solve, steps: int, tol: float):
     """Largest Ritz value theta of K x = lambda M x, M > 0, solve(b) = M^-1 b: Lanczos in
     the M inner product from a seeded Gaussian start stops at the first step whose residual
-    bound beta_{j+1}*|s_j| (s: T_j's top eigenvector) is at most 1e-3*|theta| (ARPACK's
+    bound beta_{j+1}*|s_j| (s: T_j's top eigenvector) is at most tol*|theta| (ARPACK's
     test; theta is then that close to some lambda, below lambda_max if the run stalls on
-    a cluster), or returns None after `steps`.  Only theta is read: no basis is kept,
-    nothing is reorthogonalized, and a Ritz value exceeds lambda_max only by roundoff."""
+    a cluster; exact at a breakdown, beta = 0), or returns None after `steps`.  Only theta
+    is read: no basis is kept, nothing is reorthogonalized, and a Ritz value exceeds
+    lambda_max only by roundoff."""
     z = np.random.default_rng(0).standard_normal(M.shape[0])
     Mv, v, alpha, beta = 0.0, 0.0, [], [np.sqrt(z @ (r := M @ z))]  # r = M z throughout
     for j in range(steps):
@@ -154,7 +154,7 @@ def largest_ritz_value(K, M, solve, steps: int):
         # T_j's top eigenpair by MRRR (range 3: by index); dstemr overwrites its e
         _, w, s, info = lapack.dstemr(np.array(alpha), np.array(beta[1:]), 3, 0.0, 0.0,
                                       j + 1, j + 1)
-        if not info and beta[-1] * abs(s[j, 0]) <= 1e-3 * abs(w[0]):
+        if not info and beta[-1] * abs(s[j, 0]) <= tol * abs(w[0]):
             return float(w[0])
     return None
 

@@ -344,9 +344,9 @@ def _proposals(monkeypatch):
     """Record each step proposal of the search as (theta, its number of solves)."""
     real, calls = analysis.largest_ritz_value, []
 
-    def counted(K, M, solve, steps):
+    def counted(K, M, solve, steps, tol):
         solves = []
-        theta = real(K, M, lambda b: solves.append(None) or solve(b), steps)
+        theta = real(K, M, lambda b: solves.append(None) or solve(b), steps, tol)
         calls.append((theta, len(solves)))
         return theta
 
@@ -407,11 +407,11 @@ def test_proposal_matches_dense_pencil(monkeypatch, n, problem, weights):
     for sign in (1.0, -1.0):
         runs.clear()
         _trace_of(ProblemConfig(problem=problem, n=n, **weights), sign)
-        for i, (K, M, solve, steps) in enumerate(runs[:2]):
+        for i, (K, M, solve, steps, tol) in enumerate(runs[:2]):
             seen += 1
-            theta, lam = real(K, M, solve, steps), sla.eigh(
+            theta, lam = real(K, M, solve, steps, tol), sla.eigh(
                 K.toarray(), M.toarray(), eigvals_only=True)
-            assert real(K, M, solve, steps) == theta
+            assert tol == 1e-3 and real(K, M, solve, steps, tol) == theta
             assert theta <= lam[-1] + 1e-9 * abs(lam[-1])
             assert np.min(np.abs(lam - theta)) <= 1e-3 * abs(theta)
             if theta < lam[-1] - 1e-3 * abs(lam[-1]):
@@ -530,6 +530,59 @@ def test_kernel_certificate_refuses_unsound_claims():
     for size, passes in ((1e-15, True), (1e-6, False)):
         op.__dict__["kernel"] = (np.linalg.qr(Z + size * wiggle)[0], I)
         assert op.pencil(-1.0).tail(0.0) == passes
+
+
+def _kernel_before(op):
+    """ker S as found before its dimension was counted: two block inverse iteration sweeps
+    on S + eps*I from 16 columns, doubling the block until a Ritz value is >= eps."""
+    S, eps, b = op.csr(op.S), 1e-12 * np.abs(op.S).max(), 16
+    solve = op.factor(op.S + eps * op.space.condensation().eye)[0].solve
+    while b < S.shape[0]:
+        Y = np.cos(np.outer(np.arange(1.0, S.shape[0] + 1), np.arange(1.0, b + 1)))
+        for _ in range(2):
+            Y = np.linalg.qr(np.hstack([solve(Y[:, j:j + 8]) for j in range(0, b, 8)]))[0]
+        theta, V = np.linalg.eigh(Y.T @ (S @ Y))
+        if (k := int(np.searchsorted(theta, eps))) < b:
+            return Y @ V[:, :k] if k and theta[k] >= 1e3 * eps else None
+        b *= 2
+    return None
+
+
+@pytest.mark.parametrize("problem", [1, 2])
+@pytest.mark.parametrize("n", [5, 9, 17, 33])
+def test_kernel_dimension_is_counted(monkeypatch, n, problem):
+    # dim ker S is the non-positive count of the condensed LDL^T of S - eps*I: n - 2 on
+    # problem 2 (the dense null space's on 5 and 9 nodes), none on problem 1.  Its two
+    # sweeps solve k + 1 columns each, 8 at a time (32 on 33x33, where doubling from 16
+    # solved 16 + 32), and span what the doubling search found
+    real, columns = solvers.ldlt_factor, []
+
+    def factor(A):
+        lu = real(A)
+
+        def solve(x):
+            columns.append(x.shape[1:])
+            return lu.solve(x)
+        return types.SimpleNamespace(perm_r=lu.perm_r, perm_c=lu.perm_c, U=lu.U, solve=solve)
+
+    op = _StabilityOperator(ProblemConfig(problem=problem, n=n))
+    eps = 1e-12 * np.abs(op.S).max()
+    k = op.factor(op.S - eps * op.space.condensation().eye)[1]
+    assert k == (n - 2 if problem == 2 else 0)
+    if n <= 9:
+        assert sla.null_space(op.csr(op.S).toarray()).shape[1] == k
+    monkeypatch.setattr(solvers, "ldlt_factor", factor)
+    kernel, sweeps = op.kernel, list(columns)
+    before = _kernel_before(op)
+    if problem == 1:
+        assert kernel is None and before is None and sweeps == []
+        return
+    Z, I = kernel
+    assert len(I) == len(set(I)) == Z.shape[1] == k
+    assert max(sweeps) <= (8,) and sum(c for c, in sweeps) == 2 * (k + 1)
+    assert n < 33 or (k + 1, sum(c for c, in columns[len(sweeps):])) == (32, 2 * (16 + 32))
+    cosines = np.linalg.svd(Z.T @ before, compute_uv=False)
+    assert before.shape == Z.shape and cosines.min() >= 1.0 - 1e-12
 
 
 def test_crossing_factors_its_block_once(monkeypatch):
@@ -655,8 +708,26 @@ def test_linear_block_grows_no_step(monkeypatch):
 
 def test_unconfirmed_crossing_raises(monkeypatch):
     monkeypatch.setattr(analysis, "smallest_eigenvalue", lambda A, shifted=None: 1.0)
-    with pytest.raises(ArithmeticError, match="not negative"):
+    with pytest.raises(ArithmeticError, match=r"counts 1 non-positive eigenvalues but "
+                                              r"lambda_min = 1\.000000e\+00"):
         find_stability_limits(ProblemConfig(problem=1, n=9))
+
+
+@pytest.mark.parametrize("problem,gt,m0", [(1, 14.0, False), (1, 15.0, False),
+                                           (2, 3.0, False), (1, 2.0, True)])
+def test_verdicts_raise_on_a_wrong_signed_lambda_min(monkeypatch, problem, gt, m0):
+    # the LDL^T count decides is_stable's and run_convergence's verdicts; a lambda_min
+    # of the other sign raises, and the message carries it
+    cfg = ProblemConfig(problem=problem, n=9, gamma_tilde=gt,
+                        **({"m1": 0.0, "m2": 0.0} if m0 else {}))
+    lam, stable = is_stable(cfg)
+    wrong = -lam
+    monkeypatch.setattr(analysis, "smallest_eigenvalue", lambda A, shifted=None: wrong)
+    message = ("counts " + ("0" if stable else "[1-9][0-9]*") + " non-positive eigenvalues "
+               + re.escape(f"but lambda_min = {wrong:.6e}"))
+    for study in (lambda: is_stable(cfg), lambda: run_convergence(cfg, [9])):
+        with pytest.raises(ArithmeticError, match=message):
+            study()
 
 
 def test_nan_step_raises(monkeypatch, factor_budget):
@@ -976,8 +1047,12 @@ def test_bubble_solve_bit_identical(problem, n):
 
 
 def test_convergence_refuses_unstable():
+    # the refusal carries lambda_min, the verdict's own
     cfg = ProblemConfig(problem=1, m1=0.0, m2=0.0, gamma_tilde=7.125)
-    with pytest.raises(ValueError, match="not positive definite"):
+    lam, stable = is_stable(replace(cfg, n=5))
+    assert not stable and lam < 0.0
+    refusal = "not positive definite.*" + re.escape(f"(lambda_min = {lam:.6e})")
+    with pytest.raises(ValueError, match=refusal):
         run_convergence(cfg, [5])
     with pytest.raises(ValueError):
         run_convergence(ProblemConfig(problem=1), [])

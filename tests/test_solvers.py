@@ -135,8 +135,9 @@ def test_assembled_blocks_across_critical_load(problem, n, gt, classical,
     data = _data(op, gt)
     A = op.csr(data)
     lam_dense = sla.eigvalsh(A.toarray())[0]
-    lam, lam_condensed = smallest_eigenvalue(A), op.lambda_min(data)
+    lam, (lam_condensed, stable) = smallest_eigenvalue(A), op.verdict(data, op.factor(data))
     assert np.sign(lam) == np.sign(lam_condensed) == np.sign(lam_dense) == expect_sign
+    assert stable == (expect_sign > 0)
     assert lam == pytest.approx(lam_dense, rel=1e-8)
     assert lam_condensed == pytest.approx(lam_dense, rel=1e-8)
     assert (_condense(op.space, data).below > 0) == indefinite_b
@@ -147,7 +148,8 @@ def test_assembled_blocks_across_critical_load(problem, n, gt, classical,
                                [[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]],
                                [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, -5.0]]])
 def test_small_inputs_cap_the_basis(A):
-    # ARPACK needs a basis of at most n vectors: NCV falls to n = 2 and 3
+    # Lanczos breaks down, beta = 0 up to roundoff, by step n = 2 or 3 at the latest,
+    # which ends the run on the exact eigenvalue
     assert smallest_eigenvalue(A) == pytest.approx(sla.eigvalsh(A)[0], rel=1e-12)
 
 
@@ -165,6 +167,29 @@ def test_unstable_verdict_factors_once(monkeypatch, problem, gt):
     lam_dense = sla.eigvalsh(op.csr(_data(op, gt)).toarray())
     assert lam_dense[0] < 0.0 < lam_dense[1]
     assert lam == pytest.approx(lam_dense[0], rel=1e-10)
+
+
+# solves of one 33x33 verdict at the midpoints of the benchmark's verdict bands, when
+# ARPACK ran about sigma on 6 Lanczos vectors from a start vector of ones
+VERDICT_SOLVES_BEFORE = {(1, 6.75): 7, (1, 7.65): 7, (1, -250.0): 10, (2, 3.05): 7,
+                         (2, 3.45): 7}
+
+
+@pytest.mark.parametrize("problem,gt", list(VERDICT_SOLVES_BEFORE))
+def test_verdict_solve_counts(monkeypatch, problem, gt):
+    # one factorization at sigma = 0 decides and serves lambda_min's Lanczos run
+    real, factored, solves = solvers.ldlt_factor, [], []
+
+    def factor(A):
+        lu = real(A)
+        factored.append(A.shape)
+        return types.SimpleNamespace(perm_r=lu.perm_r, perm_c=lu.perm_c, U=lu.U,
+                                     solve=lambda x: solves.append(1) or lu.solve(x))
+
+    monkeypatch.setattr(solvers, "ldlt_factor", factor)
+    lam, stable = is_stable(ProblemConfig(problem=problem, n=33, gamma_tilde=gt))
+    assert stable == (lam > 0.0) == (gt in (6.75, -250.0, 3.05))
+    assert len(factored) == 1 and len(solves) <= VERDICT_SOLVES_BEFORE[problem, gt]
 
 
 @settings(deadline=None, max_examples=15)
