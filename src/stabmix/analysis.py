@@ -32,8 +32,8 @@ from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import forms
 from .mesh import build_structured_mesh
@@ -262,7 +262,10 @@ class _StabilityOperator:
     def verdict(self, data, f):
         """(lambda_min, A > 0) of block data, given f = factor(data): f's count decides, and
         smallest_eigenvalue, on f at sigma = 0 and on condensed factorizations below, must
-        agree in sign; ArithmeticError if it does not or the count proves nothing."""
+        agree in sign; ArithmeticError if it does not, the count proves nothing or data
+        overflowed."""
+        if not np.isfinite(data).all():
+            raise ArithmeticError("the block has non-finite entries: the load overflows")
         lam = smallest_eigenvalue(self.csr(data), lambda s: f if s == 0 else self.factor(
             data - s * self.space.condensation().eye))
         if f[1] is None or (f[1] == 0) != (lam > 0.0):
@@ -288,8 +291,8 @@ class _StabilityOperator:
             return None
         Z, I, L = Y @ V[:, :k], [], np.zeros((len(Y), k))
         d = np.einsum("ij,ij->i", Z, Z)
-        for j in range(k):  # pivoted Cholesky of Z Z^T
-            I.append(i := int(np.argmax(d)))
+        for j in range(k):  # pivoted Cholesky of Z Z^T; of tied scores, the lowest row
+            I.append(i := int(np.argmax(d >= (1.0 - 1e-9) * d.max())))
             L[:, j] = (Z @ Z[i] - L[:, :j] @ L[i, :j]) / math.sqrt(d[i])
             d -= L[:, j] ** 2
         return Z, np.array(I)
@@ -400,14 +403,12 @@ def find_stability_limits(cfg: ProblemConfig) -> StabilityReport:
 def estimate_inf_sup(space: MixedSpace) -> float:
     """Discrete inf-sup constant of the pair on this mesh.
 
-    beta1^2 is the smallest eigenvalue of S p = lambda M_p p, S = B K_V^{-1} B^T,
-    above the kernel of B^T (spurious pressure modes of the control pair).  The
-    pressure part of [[K_V, B^T], [B, sigma M_p]]^{-1} (0, r) is -(S - sigma M_p)^{-1}
-    r, and that of [[K_V^, B^^T], [B^, sigma M_p - D]], the MINI bubbles eliminated,
-    too; so shift-invert Lanczos to LANCZOS_TOL about sigma = INFSUP_SHIFT from a fixed
-    start vector gives the k smallest eigenvalues without forming S; a run of kernel modes
-    alone is deflated (Lehoucq & Sorensen, 1996) and k grows by one.  From k = n_p - 1,
-    beyond ARPACK, the undeflated solve is applied to the identity.
+    beta1^2 is the smallest eigenvalue of S p = lambda M_p p, S = B K_V^{-1} B^T, above
+    the kernel of B^T (spurious pressure modes of the control pair).  The pressure part
+    of [[K_V, B^T], [B, sigma M_p]]^{-1} (0, r) is -(S - sigma M_p)^{-1} r, and that of
+    [[K_V^, B^^T], [B^, sigma M_p - D]], the MINI bubbles eliminated, too.  On that one
+    factor Lanczos in the S - sigma M_p inner product finds lambda = sigma + 1/nu, block
+    inverse iteration the kernel values, which it deflates (README, "Numerics").
     """
     B, Mp = forms.assemble_coupling(space), forms.assemble_pressure_mass(space)
     sigma, K_V, C = INFSUP_SHIFT, forms.assemble_h1_gram(space), INFSUP_SHIFT * Mp
@@ -415,33 +416,34 @@ def estimate_inf_sup(space: MixedSpace) -> float:
         parts = _condense(space, K_V.data, (B, C))
         K_V, B, C = parts.schur, parts.saddle_B, parts.saddle_C
     n_p, n_u = B.shape
-    # quasi-definite (K_V and -C SPD): LDL^T exists in any symmetric order
-    lu = ldlt_factor(sp.bmat([[K_V, B.T], [B, C]]))
+    lu = ldlt_factor(sp.bmat([[K_V, B.T], [B, C]]))  # quasi-definite: LDL^T in any order
+    g, Z = np.random.default_rng(0).standard_normal(n_p), np.zeros((n_p, 0))  # Z^T g = 0
 
-    def shifted_solve(r):  # (S - sigma M_p)^{-1} r, r a vector or a block
-        rhs = np.zeros((n_u + n_p,) + r.shape[1:])
-        rhs[n_u:] = r
-        return -lu.solve(rhs)[n_u:]
+    def solve(r):  # (S - sigma M_p)^{-1} r, r a vector or a block, less its part on Z
+        y = -lu.solve(np.concatenate([np.zeros((n_u,) + r.shape[1:]), r]))[n_u:]
+        return y - Z @ (Z.T @ (Mp @ y))
 
-    def not_applied(x):  # shift-invert mode applies only OPinv and M, never S
-        raise NotImplementedError("S is applied only through its shifted inverse")
+    def smallest(g):  # lambda of the largest nu, Lanczos from (solve(g), g)
+        if nu := largest_ritz_value(Mp, None, solve, n_p, LANCZOS_TOL, (solve(g), g)):
+            return sigma + 1.0 / nu
+        raise ArithmeticError(f"inf-sup Lanczos took over {n_p} steps")
 
-    schur = spla.LinearOperator((n_p, n_p), matvec=not_applied, dtype=float)
-    opinv = spla.LinearOperator((n_p, n_p), dtype=float, matvec=lambda r: (
-        y := shifted_solve(r)) - Z @ (Z.T @ (Mp @ y)))  # Z deflated: nu = 0 on it
-    k, Z = 2, np.zeros((n_p, 0))  # Z: the kernel modes converged so far, M_p-orthonormal
-    while k < n_p - 1:
-        w, V = spla.eigsh(schur, k=k, M=Mp, sigma=sigma, OPinv=opinv, tol=LANCZOS_TOL,
-                          v0=np.ones(n_p))
-        if w.max() >= KERNEL_RTOL * INFSUP_BOUND:
-            break
-        Z, k = np.hstack([Z, V]), k + 1
-    else:
-        # nu = 1/(lambda - sigma) are the eigenvalues of L^T (S - sigma M_p)^{-1} L
-        L = np.linalg.cholesky(Mp @ np.eye(n_p))
-        w = sigma + 1.0 / np.linalg.eigvalsh(L.T @ shifted_solve(np.eye(n_p)) @ L)
-    above = w[w >= KERNEL_RTOL * INFSUP_BOUND]
-    return float(math.sqrt(above.min())) if above.size else 0.0
+    while (lam := smallest(g)) < KERNEL_RTOL * INFSUP_BOUND:  # a kernel value: find them
+        Y, W = np.random.default_rng(0).standard_normal((n_p, b := min(8, n_p))), Z[:, :0]
+        while True:  # in b seeded columns, doubled while every Ritz value is a kernel value
+            X = Mp @ np.linalg.qr(Y)[0]
+            Y = solve(X)  # S - sigma M_p is Y^T X on span Y, so mu = 1/nu = lambda - sigma
+            mu, V = sla.eigh(Y.T @ X, Y.T @ (Mp @ Y))  # V M_p-orthonormal
+            P, W = W, Y @ V[:, sigma + mu < KERNEL_RTOL * INFSUP_BOUND]
+            if W.shape[1] == b < n_p:
+                Y = np.random.default_rng(0).standard_normal((n_p, b := min(2 * b, n_p)))
+            elif 0 < W.shape[1] == P.shape[1] and np.trace(  # moved by <= LANCZOS_TOL
+                    (D := P - W @ (W.T @ (Mp @ P))).T @ (Mp @ D)) <= LANCZOS_TOL ** 2:
+                break
+        Z, g = np.hstack([Z, W]), g - Mp @ (W @ (W.T @ g))
+        if Z.shape[1] == n_p:  # no pressure above the kernel
+            return 0.0
+    return math.sqrt(lam)
 
 
 def manufactured_load(x, y):

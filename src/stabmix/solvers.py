@@ -24,9 +24,9 @@ from scipy.linalg import lapack
 # relative tolerances: asymmetry taken as roundoff, accepted saddle residual
 SYMMETRY_RTOL = 1e-10
 RESIDUAL_RTOL = 1e-10
-# Lanczos residual tolerance of lambda_min and beta1; Ritz values converge quadratically in
-# it.  Against 0 (by ARPACK) 33x33 verdicts took 7-10 solves instead of 7-16, lambda moving
-# by at most 7.1e-16 relative, and beta1 by at most 3.7e-13 on 2..17, 33, 65 nodes
+# Lanczos residual tolerance of lambda_min and beta1 (Ritz values converge quadratically in
+# it: against 0, by ARPACK, 33x33 verdicts took 7-10 solves instead of 7-16, lambda moving
+# by at most 7.1e-16 relative), and the largest move of beta1's last kernel iterate
 LANCZOS_TOL = 1e-8
 
 
@@ -100,7 +100,7 @@ def _shift_below_spectrum(A, shifted):
             row_abs = np.asarray(abs(A).sum(axis=1)).ravel()
             gershgorin = float(np.min(diag + np.abs(diag) - row_abs))
             step = width = 1e-8 * (float(row_abs.max()) or 1.0)
-        if below != 0 and sigma < gershgorin:
+        if below != 0 and not sigma >= gershgorin:  # a NaN bound refuses too
             raise ArithmeticError(
                 f"no LDL^T factorization of A - sigma*I with at most one negative "
                 f"pivot at sigma = {sigma:.3e}, below the Gershgorin bound "
@@ -135,16 +135,16 @@ def smallest_eigenvalue(S, shifted=None) -> float:
     return sigma + sign / theta
 
 
-def largest_ritz_value(K, M, solve, steps: int, tol: float):
+def largest_ritz_value(K, M, solve, steps: int, tol: float, start=None):
     """Largest Ritz value theta of K x = lambda M x, M > 0, solve(b) = M^-1 b: Lanczos in
-    the M inner product from a seeded Gaussian start stops at the first step whose residual
-    bound beta_{j+1}*|s_j| (s: T_j's top eigenvector) is at most tol*|theta| (ARPACK's
-    test; theta is then that close to some lambda, below lambda_max if the run stalls on
-    a cluster; exact at a breakdown, beta = 0), or returns None after `steps`.  Only theta
-    is read: no basis is kept, nothing is reorthogonalized, and a Ritz value exceeds
-    lambda_max only by roundoff."""
-    z = np.random.default_rng(0).standard_normal(M.shape[0])
-    Mv, v, alpha, beta = 0.0, 0.0, [], [np.sqrt(z @ (r := M @ z))]  # r = M z throughout
+    the M inner product from a seeded Gaussian start, or from start = (z, M z), so that M
+    need not be applied, stops at the first step whose residual bound beta_{j+1}*|s_j| (s:
+    T_j's top eigenvector) is at most tol*|theta| (ARPACK's test; theta is then that close
+    to some lambda, below lambda_max if the run stalls on a cluster; exact at a breakdown,
+    beta = 0), or returns None after `steps`.  Only theta is read: no basis is kept,
+    nothing is reorthogonalized, and a Ritz value exceeds lambda_max only by roundoff."""
+    z, r = start or ((z := np.random.default_rng(0).standard_normal(M.shape[0])), M @ z)
+    Mv, v, alpha, beta = 0.0, 0.0, [], [np.sqrt(z @ r)]  # r = M z throughout
     for j in range(steps):
         (Mv_prev, Mv), (v_prev, v) = (Mv, r / beta[-1]), (v, z / beta[-1])
         alpha.append(v @ (r := K @ v))

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stabmix
 from stabmix import (ConvergenceRow, ConvergenceTable, ProblemConfig,
                      StabilityReport)
 from stabmix.cli import RunSpec, emit, main, parse_args
@@ -287,3 +291,19 @@ def test_main_classical_runs(capsys):
     row = [l for l in out.splitlines() if l.startswith("1,5")][0]
     gamma_M = row.split(",")[3]
     assert gamma_M not in ("inf",)  # classical method has a finite limit
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["-c", "from stabmix import ProblemConfig, is_stable\n"
+            "is_stable(ProblemConfig(problem=2, n=5, gamma_tilde=1e300))"],
+     "ArithmeticError: the block has non-finite entries"),
+    (["-m", "stabmix.cli", "convergence", "--problem", "2", "--nodes", "5",
+      "--gamma-tilde", "1e300"], "stabmix: error: the block has non-finite entries"),
+])
+def test_overflowing_load_raises(argv, error):
+    # m2*gt^2 overflows, so the block data hold inf and NaN and no factorization proves
+    # anything: both calls raise ArithmeticError, where the shift walk used to run forever
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stabmix.__file__)))
+    done = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert done.returncode == 1 and error in done.stderr

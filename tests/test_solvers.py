@@ -153,6 +153,37 @@ def test_small_inputs_cap_the_basis(A):
     assert smallest_eigenvalue(A) == pytest.approx(sla.eigvalsh(A)[0], rel=1e-12)
 
 
+def test_shift_walk_refuses_a_nan_bound():
+    # non-finite data: no factorization proves anything and the Gershgorin bound is NaN,
+    # which ends the walk at once instead of sending the shift down forever
+    shifts = []
+
+    def shifted(sigma):
+        if len(shifts) > 50:
+            pytest.fail("the shift walk does not end")
+        return shifts.append(sigma) or (None, None)
+
+    A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, np.nan]]))
+    with pytest.raises(ArithmeticError, match="Gershgorin bound nan"):
+        smallest_eigenvalue(A, shifted)
+    assert shifts == [0.0]
+
+
+def test_ritz_value_from_a_given_start():
+    # from start = (z, M z) M is never applied, as in the inf-sup run, which starts from
+    # z = (S - sigma M_p)^-1 g, M z = g; the seeded start is the default's, bit for bit
+    rng, n = np.random.default_rng(3), 12
+    Q = rng.standard_normal((n, n))
+    K, M = Q + Q.T, Q @ Q.T + n * np.eye(n)
+    solve = lambda r: np.linalg.solve(M, r)  # noqa: E731
+    g = rng.standard_normal(n)
+    theta = solvers.largest_ritz_value(K, None, solve, n, 1e-12, (solve(g), g))
+    assert theta == pytest.approx(sla.eigh(K, M, eigvals_only=True)[-1], rel=1e-12)
+    z = np.random.default_rng(0).standard_normal(n)
+    assert (solvers.largest_ritz_value(K, M, solve, n, 1e-8)
+            == solvers.largest_ritz_value(K, None, solve, n, 1e-8, (z, M @ z)))
+
+
 @pytest.mark.parametrize("problem,gt", [(1, 15.0), (2, 4.0)])  # 9x9 gamma_M 14.68, 3.86
 def test_unstable_verdict_factors_once(monkeypatch, problem, gt):
     # one negative LDL^T pivot at sigma = 0 leaves lambda_min as the only
