@@ -32,7 +32,6 @@ from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import forms
@@ -41,9 +40,6 @@ from .solvers import (LANCZOS_TOL, SaddleSystem, factor_with_inertia, largest_ri
                       ldlt_factor, smallest_eigenvalue, solve_saddle)
 from .spaces import MixedSpace
 
-# inf-sup eigenvalues below KERNEL_RTOL * INFSUP_BOUND are kernel modes; none
-# exceeds the bound: (int q div v)^2 <= 2 |q|^2 |grad v|^2 <= 2 |q|^2 |v|_H1^2
-KERNEL_RTOL, INFSUP_BOUND = 1e-10, 2.0
 INFSUP_SHIFT = -1e-5  # Lanczos shift below the spectrum [0, 2], near its bottom
 # critical loads are resolved to BISECT_TOL and unbounded beyond GAMMA_CAP.  At
 # BISECT_TOL <= 1e-11 the search was measured to stop with "not positive definite",
@@ -162,14 +158,18 @@ def _condense(space: MixedSpace, data, coupling=None):
     """The MINI bubbles of operator data over the "uu" plan eliminated element by
     element: Condensed(B_e^-1, C_e, G_e = B_e^-1 C_e, the vertex Schur complement A_vv -
     sum_e C_e^T G_e, the B_e's count of negative eigenvalues), or None if a B_e is
-    singular.  Given coupling, B as assembled by the "pu" plan and C (or 0), the same of
-    the saddle [[A, B^T], [B, C]]: C_e and G_e gain the columns of B_b,e^T, and saddle_B
-    = B_v - sum_e B_b,e G_e and saddle_C = C - sum_e B_b,e B_e^-1 B_b,e^T follow."""
+    singular; ArithmeticError if data or a B_e's determinant overflowed.  Given coupling,
+    B as assembled by the "pu" plan and C (or 0), the same of the saddle [[A, B^T], [B,
+    C]]: C_e and G_e gain the columns of B_b,e^T, and saddle_B = B_v - sum_e B_b,e G_e
+    and saddle_C = C - sum_e B_b,e B_e^-1 B_b,e^T follow."""
     c = space.condensation()
     ext = np.append(data, 0.0)
     B, C = ext[c.bb], ext[c.bv]
-    det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
-    if not np.all((det < 0.0) | (det > 0.0)):  # a zero or NaN determinant
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
+    if not (np.isfinite(data).all() and np.isfinite(det).all()):
+        raise ArithmeticError("the block has non-finite entries: the load overflows")
+    if not np.all((det < 0.0) | (det > 0.0)):  # a zero determinant
         return None
     # a 2x2 block has one negative eigenvalue if det < 0, two if also b00 < 0
     below = int(np.sum(det < 0.0) + 2 * np.sum((det > 0.0) & (B[:, 0, 0] < 0.0)))
@@ -206,6 +206,19 @@ def _bubble_solve(Binv, C, G, cols, inner, x):
     return np.concatenate([z[:nr], (y - dot(G, z.take(cols, axis=0))).reshape(-1, *m)])
 
 
+def _kernel_basis(A, solve, k: int, eps: float):
+    """Orthonormal basis of ker A, A >= 0, given solve, that of the LDL^T of A - eps*I, and
+    its count k < n: two block inverse iteration sweeps on k + 1 columns and Rayleigh-Ritz;
+    None unless k Ritz values lie below eps and the next at or above 1e3*eps."""
+    Y = np.cos(np.outer(np.arange(1.0, A.shape[0] + 1), np.arange(1.0, k + 2)))
+    for _ in range(2):  # 8 columns at a time, for a small peak RSS
+        Y = np.linalg.qr(np.hstack([solve(Y[:, j:j + 8]) for j in range(0, k + 1, 8)]))[0]
+    theta, V = np.linalg.eigh(Y.T @ (A @ Y))
+    if np.searchsorted(theta, eps) != k or theta[k] < 1e3 * eps:
+        return None
+    return Y @ V[:, :k]
+
+
 class _Pencil(namedtuple("_Pencil", "sign K0 Kd K2 factor csr verdict tail")):
     """The block A(s) = K0 + s*Kd + s^2*K2, s = |gt|, of the loading direction sign as
     data over one CSR pattern, its operator's factor, csr and verdict, and tail(a,
@@ -213,8 +226,9 @@ class _Pencil(namedtuple("_Pencil", "sign K0 Kd K2 factor csr verdict tail")):
 
     def at(self, s: float):
         """Data of A(s): K0 + s*Kd, then s^2*K2 added in place, for a small peak RSS."""
-        A = np.add(self.K0, s * self.Kd)
-        return A if self.K2 is None else np.add(A, (s * s) * self.K2, out=A)
+        with np.errstate(over="ignore", invalid="ignore"):  # _condense refuses inf, NaN
+            A = np.add(self.K0, s * self.Kd)
+            return A if self.K2 is None else np.add(A, (s * s) * self.K2, out=A)
 
     def slope(self, s: float):
         """Data of A'(s): never modify it."""
@@ -262,10 +276,7 @@ class _StabilityOperator:
     def verdict(self, data, f):
         """(lambda_min, A > 0) of block data, given f = factor(data): f's count decides, and
         smallest_eigenvalue, on f at sigma = 0 and on condensed factorizations below, must
-        agree in sign; ArithmeticError if it does not, the count proves nothing or data
-        overflowed."""
-        if not np.isfinite(data).all():
-            raise ArithmeticError("the block has non-finite entries: the load overflows")
+        agree in sign; ArithmeticError if it does not or the count proves nothing."""
         lam = smallest_eigenvalue(self.csr(data), lambda s: f if s == 0 else self.factor(
             data - s * self.space.condensation().eye))
         if f[1] is None or (f[1] == 0) != (lam > 0.0):
@@ -275,21 +286,13 @@ class _StabilityOperator:
 
     @functools.cached_property
     def kernel(self):
-        """(Z, I) or None: Z orthonormal on ker S by two block inverse iteration sweeps on
-        k + 1 columns with the LDL^T of S - eps*I, eps = 1e-12*max|S|, whose count is k, and
-        Rayleigh-Ritz (k values < eps, the next >= 1e3*eps); I pivot rows of a QR of Z^T."""
-        S, eps = self.csr(self.S), 1e-12 * np.abs(self.S).max()
+        """(Z, I) or None: Z = _kernel_basis of S, its dimension k the count of the LDL^T
+        of S - eps*I, eps = 1e-12*max|S|; I pivot rows of a QR of Z^T."""
+        eps = 1e-12 * np.abs(self.S).max()
         f, k = self.factor(self.S - eps * self.space.condensation().eye)
-        if not k:  # None, or no kernel
-            return None
-        Y = np.cos(np.outer(np.arange(1.0, S.shape[0] + 1), np.arange(1.0, k + 2)))
-        for _ in range(2):  # 8 columns at a time, for a small peak RSS
-            Y = np.hstack([f.solve(Y[:, j:j + 8]) for j in range(0, k + 1, 8)])
-            Y = np.linalg.qr(Y)[0]
-        theta, V = np.linalg.eigh(Y.T @ (S @ Y))
-        if np.searchsorted(theta, eps) != k or theta[k] < 1e3 * eps:
-            return None
-        Z, I, L = Y @ V[:, :k], [], np.zeros((len(Y), k))
+        if not k or (Z := _kernel_basis(self.csr(self.S), f.solve, k, eps)) is None:
+            return None  # a count of None, no kernel, or no gap above it
+        I, L = [], np.zeros((len(Z), k))
         d = np.einsum("ij,ij->i", Z, Z)
         for j in range(k):  # pivoted Cholesky of Z Z^T; of tied scores, the lowest row
             I.append(i := int(np.argmax(d >= (1.0 - 1e-9) * d.max())))
@@ -404,46 +407,38 @@ def estimate_inf_sup(space: MixedSpace) -> float:
     """Discrete inf-sup constant of the pair on this mesh.
 
     beta1^2 is the smallest eigenvalue of S p = lambda M_p p, S = B K_V^{-1} B^T, above
-    the kernel of B^T (spurious pressure modes of the control pair).  The pressure part
-    of [[K_V, B^T], [B, sigma M_p]]^{-1} (0, r) is -(S - sigma M_p)^{-1} r, and that of
-    [[K_V^, B^^T], [B^, sigma M_p - D]], the MINI bubbles eliminated, too.  On that one
-    factor Lanczos in the S - sigma M_p inner product finds lambda = sigma + 1/nu, block
-    inverse iteration the kernel values, which it deflates (README, "Numerics").
+    ker S = ker B^T: its dimension k the count of the LDL^T of P - eps*I, P = B B^T, as for
+    the stability block's ker S, and its basis _kernel_basis(P), M_p-orthonormalized.  The
+    pressure part of [[K_V, B^T], [B, sigma M_p]]^{-1} (0, r) is -(S - sigma M_p)^{-1} r,
+    and that of [[K_V^, B^^T], [B^, sigma M_p - D]], the MINI bubbles eliminated, too.  On
+    that one factor, the kernel deflated, one Lanczos run in the S - sigma M_p inner
+    product finds lambda = sigma + 1/nu (README, "Numerics").
     """
     B, Mp = forms.assemble_coupling(space), forms.assemble_pressure_mass(space)
+    P, n_p = B @ B.T, B.shape[0]
+    eps = 1e-12 * (abs(P).max() or 1.0)  # 1e-12 if B has no entries
+    f, k = factor_with_inertia(P - eps * sp.identity(n_p))
+    if k == n_p:  # no pressure above the kernel
+        return 0.0
+    if k is None or (Z := _kernel_basis(P, f.solve, k, eps)) is None:
+        raise ArithmeticError(f"no basis of ker B^T from the LDL^T count {k}")
+    Z = Z @ np.linalg.inv(np.linalg.cholesky(Z.T @ (Mp @ Z))).T  # M_p-orthonormal
     sigma, K_V, C = INFSUP_SHIFT, forms.assemble_h1_gram(space), INFSUP_SHIFT * Mp
     if space.include_bubbles:  # the MINI bubbles eliminated: K_V^, B^, sigma*M_p - D
         parts = _condense(space, K_V.data, (B, C))
         K_V, B, C = parts.schur, parts.saddle_B, parts.saddle_C
-    n_p, n_u = B.shape
+    n_u = B.shape[1]
     lu = ldlt_factor(sp.bmat([[K_V, B.T], [B, C]]))  # quasi-definite: LDL^T in any order
-    g, Z = np.random.default_rng(0).standard_normal(n_p), np.zeros((n_p, 0))  # Z^T g = 0
+    g = np.random.default_rng(0).standard_normal(n_p)
+    g -= Mp @ (Z @ (Z.T @ g))  # Z^T g = 0
 
     def solve(r):  # (S - sigma M_p)^{-1} r, r a vector or a block, less its part on Z
         y = -lu.solve(np.concatenate([np.zeros((n_u,) + r.shape[1:]), r]))[n_u:]
         return y - Z @ (Z.T @ (Mp @ y))
 
-    def smallest(g):  # lambda of the largest nu, Lanczos from (solve(g), g)
-        if nu := largest_ritz_value(Mp, None, solve, n_p, LANCZOS_TOL, (solve(g), g)):
-            return sigma + 1.0 / nu
-        raise ArithmeticError(f"inf-sup Lanczos took over {n_p} steps")
-
-    while (lam := smallest(g)) < KERNEL_RTOL * INFSUP_BOUND:  # a kernel value: find them
-        Y, W = np.random.default_rng(0).standard_normal((n_p, b := min(8, n_p))), Z[:, :0]
-        while True:  # in b seeded columns, doubled while every Ritz value is a kernel value
-            X = Mp @ np.linalg.qr(Y)[0]
-            Y = solve(X)  # S - sigma M_p is Y^T X on span Y, so mu = 1/nu = lambda - sigma
-            mu, V = sla.eigh(Y.T @ X, Y.T @ (Mp @ Y))  # V M_p-orthonormal
-            P, W = W, Y @ V[:, sigma + mu < KERNEL_RTOL * INFSUP_BOUND]
-            if W.shape[1] == b < n_p:
-                Y = np.random.default_rng(0).standard_normal((n_p, b := min(2 * b, n_p)))
-            elif 0 < W.shape[1] == P.shape[1] and np.trace(  # moved by <= LANCZOS_TOL
-                    (D := P - W @ (W.T @ (Mp @ P))).T @ (Mp @ D)) <= LANCZOS_TOL ** 2:
-                break
-        Z, g = np.hstack([Z, W]), g - Mp @ (W @ (W.T @ g))
-        if Z.shape[1] == n_p:  # no pressure above the kernel
-            return 0.0
-    return math.sqrt(lam)
+    if nu := largest_ritz_value(Mp, None, solve, n_p, LANCZOS_TOL, (solve(g), g)):
+        return math.sqrt(sigma + 1.0 / nu)
+    raise ArithmeticError(f"inf-sup Lanczos took over {n_p} steps")
 
 
 def manufactured_load(x, y):

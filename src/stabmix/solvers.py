@@ -26,7 +26,7 @@ SYMMETRY_RTOL = 1e-10
 RESIDUAL_RTOL = 1e-10
 # Lanczos residual tolerance of lambda_min and beta1 (Ritz values converge quadratically in
 # it: against 0, by ARPACK, 33x33 verdicts took 7-10 solves instead of 7-16, lambda moving
-# by at most 7.1e-16 relative), and the largest move of beta1's last kernel iterate
+# by at most 7.1e-16 relative)
 LANCZOS_TOL = 1e-8
 
 

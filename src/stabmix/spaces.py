@@ -40,7 +40,6 @@ class QuadratureRule:
     coordinates are (x, y) = (lam2, lam3).
     """
 
-    degree: int
     points: np.ndarray
     weights: np.ndarray
 
@@ -74,8 +73,7 @@ def make_quadrature(degree: int) -> QuadratureRule:
     x = (aa * (1.0 - bb)).ravel()
     y = (aa * bb).ravel()
     w = (0.25 * np.outer(wa, wb) * aa).ravel()
-    return QuadratureRule(degree=int(degree),
-                          points=np.column_stack([1.0 - x - y, x, y]), weights=w)
+    return QuadratureRule(points=np.column_stack([1.0 - x - y, x, y]), weights=w)
 
 
 def tabulate_scalar_basis(rule: QuadratureRule, include_bubble: bool):

@@ -299,11 +299,17 @@ def test_main_classical_runs(capsys):
      "ArithmeticError: the block has non-finite entries"),
     (["-m", "stabmix.cli", "convergence", "--problem", "2", "--nodes", "5",
       "--gamma-tilde", "1e300"], "stabmix: error: the block has non-finite entries"),
+    (["-m", "stabmix.cli", "stability", "--problem", "2", "--nodes", "5", "--m2", "1e300"],
+     "stabmix: error: the block has non-finite entries"),
+    (["-m", "stabmix.cli", "stability", "--problem", "1", "--nodes", "5", "--m1", "1e300"],
+     "stabmix: error: the block has non-finite entries"),
 ])
 def test_overflowing_load_raises(argv, error):
-    # m2*gt^2 overflows, so the block data hold inf and NaN and no factorization proves
-    # anything: both calls raise ArithmeticError, where the shift walk used to run forever
+    # m2*gt^2, or a weight times the block, overflows, so the block data hold inf and NaN
+    # and no factorization proves anything: every call raises ArithmeticError where the
+    # data are condensed, before numpy warns, where the shift walk used to run forever
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stabmix.__file__)))
     done = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
                           timeout=60, env=env)
     assert done.returncode == 1 and error in done.stderr
+    assert "RuntimeWarning" not in done.stderr

@@ -57,7 +57,7 @@ def table_at(*points, include_bubble=True):
     carries them."""
     pts = np.array(points, dtype=float)
     weights = np.full(len(pts), 0.5 / len(pts))
-    return tabulate_scalar_basis(QuadratureRule(1, pts, weights), include_bubble)
+    return tabulate_scalar_basis(QuadratureRule(pts, weights), include_bubble)
 
 
 def test_bubble_values():
