@@ -5,10 +5,10 @@ classical-method check.
 Runs the certified critical-load tables for both model problems, the two
 manufactured-solution convergence studies, the inf-sup estimates of the
 MINI pair and of its bubble-stripped P1/P1 control, and the unstabilized
-sanity probes.  Takes about 2 s on a 2-core machine, under 1 s of it the
+sanity probes.  Takes 1.4-1.9 s on a 2-core machine, about 0.5 s of it the
 problem 2 critical loads.  The mesh family defaults to the CLI's.
 
-    python3 scripts/reproduce_tables.py [--meshes 5,9,17,33] [--skip-stability]
+    python3 scripts/reproduce_tables.py [--meshes 5,9,17,33]
 """
 
 import argparse
@@ -32,15 +32,12 @@ def print_table(title, argv):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--meshes", default=",".join(map(str, DEFAULT_MESHES)))
-    parser.add_argument("--skip-stability", action="store_true",
-                        help="only run the fast convergence and inf-sup studies")
     args = parser.parse_args()
     nodes = ["--nodes", args.meshes]
 
-    if not args.skip_stability:
-        for problem in (1, 2):
-            print_table(f"Stability limits, problem {problem}",
-                        ["stability", "--problem", str(problem)] + nodes)
+    for problem in (1, 2):
+        print_table(f"Stability limits, problem {problem}",
+                    ["stability", "--problem", str(problem)] + nodes)
 
     for problem in (1, 2):
         print_table(f"Convergence, problem {problem}, "

@@ -47,8 +47,9 @@ class RunSpec:
     output: str | None
 
 
-def _same(value):
-    return value
+def _json(value):
+    """A column value as json writes it: infinite floats as "inf" and "-inf"."""
+    return ("inf" if value > 0 else "-inf") if value in (math.inf, -math.inf) else value
 
 
 def _load(plus_inf: str):
@@ -56,43 +57,39 @@ def _load(plus_inf: str):
     return lambda v: (plus_inf if v > 0 else "-inf") if math.isinf(v) else f"{v:.2f}"
 
 
-def _json_load(value: float):
-    return ("inf" if value > 0 else "-inf") if math.isinf(value) else value
-
-
 def _order(missing: str):
     return lambda v: missing if v is None else f"{v:.2f}"
 
 
 # One output column: its csv header and json key, the row attribute it
-# shows, the csv, json and pretty renderings of that value, and its pretty
-# header and width (no pretty header: csv and json only).
-Column = namedtuple("Column", "key attr csv json pretty header width")
+# shows, the csv and pretty renderings of that value (json: _json), and its
+# pretty header and width (no pretty header: csv and json only).
+Column = namedtuple("Column", "key attr csv pretty header width")
 # A command's columns, and the settings its provenance header and json
 # defaults add (ProblemConfig -> {key: value}), under a label and a note.
 Table = namedtuple("Table", "columns settings label note")
 
-_NODES = Column("nodes", "n", str, _same, "{0}x{0}".format, "nodes", 8)
+_NODES = Column("nodes", "n", str, "{0}x{0}".format, "nodes", 8)
 _SCI = "{:.4e}".format
-_LOAD = (_load("inf"), _json_load, _load("+inf"))
+_LOAD = (_load("inf"), _load("+inf"))
 TABLES = {
     "stability": Table(
-        (Column("problem", "problem", str, _same, None, None, 0), _NODES,
+        (Column("problem", "problem", str, None, None, 0), _NODES,
          Column("gamma_m", "gamma_m", *_LOAD, "gamma_m", 10),
          Column("gamma_M", "gamma_M", *_LOAD, "gamma_M", 10)),
         lambda cfg: {"bisect_tol": BISECT_TOL, "cap": GAMMA_CAP}, "detection",
         "two-decimal critical loads, unbounded beyond the cap"),
     "convergence": Table(
         (_NODES,
-         Column("err_p_L2", "err_p_L2", _SCI, _same, _SCI, "||p-p_h||_0", 12),
-         Column("err_w_H1", "err_w_H1", _SCI, _same, _SCI, "||w-w_h||_1", 12),
-         Column("order", "order", _order(""), _same, _order("--"), "order", 6)),
+         Column("err_p_L2", "err_p_L2", _SCI, _SCI, "||p-p_h||_0", 12),
+         Column("err_w_H1", "err_w_H1", _SCI, _SCI, "||w-w_h||_1", 12),
+         Column("order", "order", _order(""), _order("--"), "order", 6)),
         lambda cfg: {"gamma_tilde": cfg.gamma_tilde,
                      "delta_gamma": cfg.delta_gamma},
         "study", "reference load factor, unit increment"),
     "infsup": Table(
-        (_NODES, Column("beta1", "beta1", "{:.6f}".format, _same,
-                        "{:.4f}".format, "beta1", 8)), lambda cfg: {}, None, None),
+        (_NODES, Column("beta1", "beta1", "{:.6f}".format, "{:.4f}".format, "beta1", 8)),
+        lambda cfg: {}, None, None),
 }
 
 # argparse destinations that are ProblemConfig fields
@@ -233,7 +230,7 @@ def emit(report, spec: RunSpec) -> str:
         defaults = {"mu": cfg.mu, "m1": cfg.m1, "m2": cfg.m2,
                     "meshes": list(spec.meshes),
                     **table.settings(cfg)}
-        out = [{c.key: c.json(getattr(r, c.attr)) for c in table.columns}
+        out = [{c.key: _json(getattr(r, c.attr)) for c in table.columns}
                for r in rows]
         return json.dumps({"command": spec.command, "defaults": defaults,
                            "rows": out, **extra},

@@ -1,15 +1,15 @@
 """Symmetric eigen-analysis and saddle-point solves on sparse matrices.
 
-Every factorization is ``ldlt_factor``'s: SuperLU in a symmetric
-fill-reducing order with diagonal pivots preferred.  ``smallest_eigenvalue``
-takes a shift sigma with at most one negative LDL^T pivot of A - sigma*I, so at
-most one eigenvalue below it (sigma = 0 first, then geometric steps down and a
-bisection), and runs ``largest_ritz_value`` to LANCZOS_TOL on +-(A - sigma*I)^-1
-from a seeded start vector, so results are deterministic.  The
-stability block passes its factorization with the MINI bubbles condensed out, a
-third of the size, in place of this LDL^T.  The convergence saddles come condensed
-too: at 33x33 the order keeps 0.29-0.31M nonzeros in L + U, COLAMD 0.40-0.42M, and
-factor plus solve takes 17 ms, not 30-33 ms (65x65: 0.11 s, not 0.3 s; 2 vCPUs).
+Every factorization is ``ldlt_factor``'s: SuperLU in a symmetric fill-reducing order with
+diagonal pivots preferred.  ``smallest_eigenvalue`` takes a shift sigma with at most one
+negative LDL^T pivot of A - sigma*I, so at most one eigenvalue below it (sigma = 0 first,
+then geometric steps down and a bisection), and runs ``largest_ritz_value`` to LANCZOS_TOL
+on +-(A - sigma*I)^-1 from a seeded start vector, so results are deterministic.  Every
+Lanczos run is that routine's: ARPACK's residual test stops it, or it raises after n
+steps.  The stability block passes its factorization with the MINI bubbles condensed out,
+a third of the size, in place of this LDL^T.  The convergence saddles come condensed too:
+at 33x33 the order keeps 0.29-0.31M nonzeros in L + U, COLAMD 0.40-0.42M, and factor plus
+solve takes 17 ms, not 30-33 ms (65x65: 0.11 s, not 0.3 s; 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -129,23 +129,21 @@ def smallest_eigenvalue(S, shifted=None) -> float:
     # largest nu, with one the only negative nu, the largest of -nu
     sign = -1.0 if below else 1.0
     inverse = spla.LinearOperator(A.shape, matvec=lambda x: sign * lu.solve(x), dtype=float)
-    theta = largest_ritz_value(inverse, sp.identity(n), lambda r: r, n, LANCZOS_TOL)
-    if theta is None:
-        raise ArithmeticError(f"Lanczos about sigma = {sigma:.6e} took over {n} steps")
+    theta = largest_ritz_value(inverse, sp.identity(n), lambda r: r, LANCZOS_TOL)
     return sigma + sign / theta
 
 
-def largest_ritz_value(K, M, solve, steps: int, tol: float, start=None):
+def largest_ritz_value(K, M, solve, tol: float, start=None) -> float:
     """Largest Ritz value theta of K x = lambda M x, M > 0, solve(b) = M^-1 b: Lanczos in
     the M inner product from a seeded Gaussian start, or from start = (z, M z), so that M
     need not be applied, stops at the first step whose residual bound beta_{j+1}*|s_j| (s:
     T_j's top eigenvector) is at most tol*|theta| (ARPACK's test; theta is then that close
     to some lambda, below lambda_max if the run stalls on a cluster; exact at a breakdown,
-    beta = 0), or returns None after `steps`.  Only theta is read: no basis is kept,
+    beta = 0); ArithmeticError after len(z) steps.  Only theta is read: no basis is kept,
     nothing is reorthogonalized, and a Ritz value exceeds lambda_max only by roundoff."""
     z, r = start or ((z := np.random.default_rng(0).standard_normal(M.shape[0])), M @ z)
     Mv, v, alpha, beta = 0.0, 0.0, [], [np.sqrt(z @ r)]  # r = M z throughout
-    for j in range(steps):
+    for j in range(len(z)):
         (Mv_prev, Mv), (v_prev, v) = (Mv, r / beta[-1]), (v, z / beta[-1])
         alpha.append(v @ (r := K @ v))
         r -= alpha[-1] * Mv + beta[-1] * Mv_prev
@@ -156,7 +154,7 @@ def largest_ritz_value(K, M, solve, steps: int, tol: float, start=None):
                                       j + 1, j + 1)
         if not info and beta[-1] * abs(s[j, 0]) <= tol * abs(w[0]):
             return float(w[0])
-    return None
+    raise ArithmeticError(f"Lanczos took over {len(z)} steps")
 
 
 @dataclass(frozen=True)

@@ -343,9 +343,9 @@ def _proposals(monkeypatch):
     """Record each step proposal of the search as (theta, its number of solves)."""
     real, calls = analysis.largest_ritz_value, []
 
-    def counted(K, M, solve, steps, tol):
+    def counted(K, M, solve, tol):
         solves = []
-        theta = real(K, M, lambda b: solves.append(None) or solve(b), steps, tol)
+        theta = real(K, M, lambda b: solves.append(None) or solve(b), tol)
         calls.append((theta, len(solves)))
         return theta
 
@@ -353,38 +353,25 @@ def _proposals(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n", [5, 9, 17])
-def test_lanczos_budget_keeps_finite_directions(monkeypatch, n):
-    # the step budget bounds only the proposal: directions whose Lanczos
-    # runs converge within it take bit-identical steps and crossings
-    cases = [(ProblemConfig(problem=p, n=n, **w), sign)
-             for p in (1, 2) for w in ({}, {"m1": 0.0, "m2": 0.0})
-             for sign in (1.0, -1.0)]
-    cases = [(c, s) for c, s in cases if not (c.problem == 2 and c.m2 and s < 0)]
-    calls = _proposals(monkeypatch)
-    budgeted = [_trace_of(cfg, sign) for cfg, sign in cases]
-    assert calls and all(theta is not None for theta, _ in calls)
-    monkeypatch.setattr(analysis, "LANCZOS_STEPS", 10 ** 6)
-    assert budgeted == [_trace_of(cfg, sign) for cfg, sign in cases]
-    assert sum(math.isfinite(limit) for limit, _ in budgeted) >= 5
-
-
 def test_lanczos_budget_proposes_the_cap(monkeypatch):
-    # 33x33 problem 2's unbounded direction: the kernel certificate fails at
-    # gt = 0, and the one Lanczos proposal does not converge within the
-    # budget, so the cap, halved until the tangent test passes, steps first; at
-    # its end the kernel certificate closes the tail up to the cap
+    # 33x33 problem 2's unbounded direction: the kernel certificate fails at gt = 0, and
+    # the one Lanczos proposal converges within n steps and steps to the tangent's
+    # singular point; at its end the kernel certificate closes the tail up to the cap
+    real, factored = analysis.factor_with_inertia, []
+    monkeypatch.setattr(analysis, "factor_with_inertia",
+                        lambda A: factored.append(None) or real(A))
     calls, tests, certificates = _proposals(monkeypatch), [], []
-    limit, trace = _trace_of(ProblemConfig(problem=2, n=33), -1.0, tests, certificates)
-    assert limit == -math.inf and calls == [(None, analysis.LANCZOS_STEPS)]
-    first = -trace[0].hi / analysis.GAMMA_CAP
-    assert first == 2.0 ** round(math.log2(first)) < 1.0
-    assert trace[0].hi == pytest.approx(-122.07, abs=0.01)
+    cfg = ProblemConfig(problem=2, n=33)
+    limit, trace = _trace_of(cfg, -1.0, tests, certificates)
+    ((theta, solves),) = calls
+    assert limit == -math.inf and theta > 0.0
+    assert solves <= _StabilityOperator(cfg).plan.shape[0]
+    assert trace[0].hi == pytest.approx(-167.47, abs=0.01)
     assert trace == [CertifiedStep(-0.0, trace[0].hi),
                      CertifiedStep(trace[0].hi, -analysis.GAMMA_CAP)]
-    # the ray tests at both step starts, A(0)'s test for the proposal, then one
-    # tangent test per halving of the cap
-    assert len(certificates) == 2 and len(tests) == 3 + 1 - round(math.log2(first))
+    # the ray tests at both step starts, A(0)'s test for the proposal and one tangent
+    # test; with the kernel's and the certificates' at most 8 factorizations in all
+    assert len(certificates) == 2 and len(tests) == 4 and len(factored) <= 8
 
 
 @pytest.mark.parametrize("n", [5, 9])
@@ -406,11 +393,11 @@ def test_proposal_matches_dense_pencil(monkeypatch, n, problem, weights):
     for sign in (1.0, -1.0):
         runs.clear()
         _trace_of(ProblemConfig(problem=problem, n=n, **weights), sign)
-        for i, (K, M, solve, steps, tol) in enumerate(runs[:2]):
+        for i, (K, M, solve, tol) in enumerate(runs[:2]):
             seen += 1
-            theta, lam = real(K, M, solve, steps, tol), sla.eigh(
+            theta, lam = real(K, M, solve, tol), sla.eigh(
                 K.toarray(), M.toarray(), eigvals_only=True)
-            assert tol == 1e-3 and real(K, M, solve, steps, tol) == theta
+            assert tol == 1e-3 and real(K, M, solve, tol) == theta
             assert theta <= lam[-1] + 1e-9 * abs(lam[-1])
             assert np.min(np.abs(lam - theta)) <= 1e-3 * abs(theta)
             if theta < lam[-1] - 1e-3 * abs(lam[-1]):
@@ -435,45 +422,29 @@ def test_proposal_solve_counts(monkeypatch):
     assert len(calls) > len(set(firsts))
 
 
-def test_proposal_gives_up_at_the_budget(monkeypatch, factor_budget):
-    # a budget too small for 9x9 problem 1's first proposal: it takes exactly
-    # that many solves, and the cap, halved until the tangent test passes,
-    # steps first; the search then goes on to the same crossing
-    calls = _proposals(monkeypatch)
-    monkeypatch.setattr(analysis, "LANCZOS_STEPS", 3)
-    limit, trace = _trace_of(ProblemConfig(problem=1, n=9), 1.0)
-    assert calls[0] == (None, 3)
-    first = trace[0].hi / analysis.GAMMA_CAP
-    assert first == 2.0 ** round(math.log2(first)) < 1.0
-    assert limit == pytest.approx(14.687, abs=analysis.BISECT_TOL)
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize("sign,limit", [(1.0, 6.7367), (-1.0, -307.21)])
 def test_critical_loads_65_problem1(sign, limit):
-    # gamma_m is finite at 65x65 (the ray test fails there), and its first
-    # Lanczos proposal exceeds the step budget: the cap, halved, steps first
+    # gamma_m is finite at 65x65 (the ray test fails there), and its first Lanczos
+    # proposal, run to convergence, steps to within 0.31 of the crossing
     got, trace = _trace_of(ProblemConfig(problem=1, n=65), sign)
     assert got == pytest.approx(limit, abs=analysis.BISECT_TOL)
     assert isinstance(trace[-1], Crossing) and trace[-1].lam < 0.0
     if sign < 0:
-        first = -trace[0].hi / analysis.GAMMA_CAP
-        assert first == 2.0 ** round(math.log2(first))
-        assert trace[0].hi == pytest.approx(-244.14, abs=0.01)
+        assert trace[0].hi == pytest.approx(-306.91, abs=0.01)
 
 
 @pytest.mark.slow
 def test_kernel_certificate_65_problem2(monkeypatch):
     # the certificate's linear lower bound reaches down to about s = 400 at
     # 65x65, so problem 2's unbounded direction takes a few tangent steps
-    # before the certificate closes it: the halved cap, as the first proposal
-    # gives up, then one per proposal
+    # before the certificate closes it, one per proposal, each run to convergence
     calls = _proposals(monkeypatch)
     limit, trace = _trace_of(ProblemConfig(problem=2, n=65), -1.0)
     assert limit == -math.inf and trace[-1].hi == -analysis.GAMMA_CAP
     assert 300.0 < -trace[-1].lo < 1e3 and len(calls) == len(trace) - 1 <= 4
-    assert calls[0] == (None, analysis.LANCZOS_STEPS)
-    assert trace[0].hi == pytest.approx(-61.04, abs=0.01)
+    assert calls[0][0] > 0.0
+    assert trace[0].hi == pytest.approx(-104.93, abs=0.01)
 
 
 def _dense_kernel_forms(op, sign):

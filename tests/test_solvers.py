@@ -177,11 +177,32 @@ def test_ritz_value_from_a_given_start():
     K, M = Q + Q.T, Q @ Q.T + n * np.eye(n)
     solve = lambda r: np.linalg.solve(M, r)  # noqa: E731
     g = rng.standard_normal(n)
-    theta = solvers.largest_ritz_value(K, None, solve, n, 1e-12, (solve(g), g))
+    theta = solvers.largest_ritz_value(K, None, solve, 1e-12, (solve(g), g))
     assert theta == pytest.approx(sla.eigh(K, M, eigvals_only=True)[-1], rel=1e-12)
     z = np.random.default_rng(0).standard_normal(n)
-    assert (solvers.largest_ritz_value(K, M, solve, n, 1e-8)
-            == solvers.largest_ritz_value(K, None, solve, n, 1e-8, (z, M @ z)))
+    assert (solvers.largest_ritz_value(K, M, solve, 1e-8)
+            == solvers.largest_ritz_value(K, None, solve, 1e-8, (z, M @ z)))
+
+
+def test_ritz_value_raises_after_n_steps():
+    # one stopping rule for every run: ARPACK's residual test, or ArithmeticError after
+    # n steps, n the length of the start vector; with tol = 0 only a breakdown stops it
+    rng, n = np.random.default_rng(5), 20
+    Q, R = rng.standard_normal((2, n, n))
+    K, M = Q + Q.T, R @ R.T + n * np.eye(n)
+    solves = []
+
+    def solve(r):
+        solves.append(None)
+        return np.linalg.solve(M, r)
+
+    with pytest.raises(ArithmeticError, match="Lanczos took over 20 steps"):
+        solvers.largest_ritz_value(K, M, solve, 0.0)
+    assert len(solves) == n
+    # a start on an eigenvector breaks down at once, beta = 0, on its exact eigenvalue
+    d = np.arange(1.0, n + 1.0) / 3.0
+    e = np.eye(n)[7]
+    assert solvers.largest_ritz_value(np.diag(d), None, lambda r: r, 0.0, (e, e)) == d[7]
 
 
 @pytest.mark.parametrize("problem,gt", [(1, 15.0), (2, 4.0)])  # 9x9 gamma_M 14.68, 3.86
