@@ -16,10 +16,10 @@ LDL^T test of the tangent A(a) + (b - a)*A'(a) proves A > 0 on [a, b]; with
 A(a) > 0, one of A'(a) proves it on the ray [a, inf); with m2 > 0 the pencil's tail,
 a certificate on ker S, where A(s)/s^2 -> m2*S is singular, on [a, GAMMA_CAP].  Each
 test and each verdict factor the block with the MINI bubbles condensed out element by
-element: its inertia is the 2x2 bubble blocks' plus the vertex Schur complement's, a
-third of the size (Haynsworth's inertia additivity, Linear Algebra Appl. 1, 1968), and
-the count decides.  Eigen-solves only propose step lengths and measure lambda_min, so
-their tolerances cannot make a verdict wrong.
+element by its space (MixedSpace.condense): its inertia is the 2x2 bubble blocks' plus
+the vertex Schur complement's, a third of the size (Haynsworth's inertia additivity,
+Linear Algebra Appl. 1, 1968), and the count decides.  Eigen-solves only propose step
+lengths and measure lambda_min, so their tolerances cannot make a verdict wrong.
 """
 
 from __future__ import annotations
@@ -90,8 +90,6 @@ class ProblemConfig:
 # the confirming eigenvalue past a finite crossing
 CertifiedStep = namedtuple("CertifiedStep", "lo hi")
 Crossing = namedtuple("Crossing", "load lam")
-# _condense's parts, the last two those of a saddle, else None
-Condensed = namedtuple("Condensed", "Binv C G schur below saddle_B saddle_C")
 
 
 @dataclass(frozen=True)
@@ -152,58 +150,6 @@ def compute_M0(constants: AbstractConstants) -> float:
     return (0.5 * a + c2 + 2.0 * c1 * c1 / a) / (b * b)
 
 
-def _condense(space: MixedSpace, data, coupling=None):
-    """The MINI bubbles of operator data over the "uu" plan eliminated element by
-    element: Condensed(B_e^-1, C_e, G_e = B_e^-1 C_e, the vertex Schur complement A_vv -
-    sum_e C_e^T G_e, the B_e's count of negative eigenvalues), or None if a B_e is
-    singular; ArithmeticError if data or a B_e's determinant overflowed.  Given coupling,
-    B as assembled by the "pu" plan and C (or 0), the same of the saddle [[A, B^T], [B,
-    C]]: C_e and G_e gain the columns of B_b,e^T, and saddle_B = B_v - sum_e B_b,e G_e
-    and saddle_C = C - sum_e B_b,e B_e^-1 B_b,e^T follow."""
-    c = space.condensation()
-    ext = np.append(data, 0.0)
-    B, C = ext[c.bb], ext[c.bv]
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
-    if not (np.isfinite(data).all() and np.isfinite(det).all()):
-        raise ArithmeticError("the block has non-finite entries: the load overflows")
-    if not np.all((det < 0.0) | (det > 0.0)):  # a zero determinant
-        return None
-    # a 2x2 block has one negative eigenvalue if det < 0, two if also b00 < 0
-    below = int(np.sum(det < 0.0) + 2 * np.sum((det > 0.0) & (B[:, 0, 0] < 0.0)))
-    Binv = np.stack([B[:, 1, 1], -B[:, 0, 1], -B[:, 1, 0], B[:, 0, 0]], axis=-1)
-    Binv = (Binv / det[:, None]).reshape(-1, 2, 2)
-    if coupling is not None:  # pos[e, p, j] of B, bubble dofs j = 6, 7
-        pu, pp = space.scatter_plan("pu"), space.scatter_plan("pp")
-        Bb = coupling[0].data[pu.pos.reshape(len(B), 3, 8)[:, :, 6:].transpose(0, 2, 1)]
-        C = np.concatenate([C, Bb], axis=2)
-    U = C.transpose(0, 2, 1) @ (G := Binv @ C)
-    schur = data[c.vv] - np.bincount(c.upd.ravel(), weights=U[:, :6, :6].ravel(),
-                                     minlength=len(c.vv) + 1)[:len(c.vv)]
-    nvf = len(c.indptr) - 1
-    schur = sp.csr_matrix((schur, c.indices, c.indptr), shape=(nvf, nvf))
-    if coupling is None:
-        return Condensed(Binv, C, G, schur, below, None, None)
-    BG = np.pad(U[:, 6:, :6], ((0, 0), (0, 0), (0, 2)))  # B_b,e G_e, none on bubbles
-    return Condensed(Binv, C, G, schur, below, (coupling[0] - pu.assemble(BG))[:, :nvf],
-                     coupling[1] - pp.assemble(U[:, 6:, 6:]))
-
-
-def _bubble_solve(Binv, C, G, cols, inner, x):
-    """Solve with the bubbles eliminated element by element, given _condense's parts: x
-    and the result, vectors or blocks, hold the rows of the condensed system, which
-    inner solves, then two per element; cols are its rows of the C_e's columns."""
-    # a vector keeps the einsum's last bits, and cols itself indexes its bincount
-    nr, m, k = len(x) - 2 * len(Binv), x.shape[1:], x[0].size
-    dot, at = (np.matmul, (cols[..., None] * k + np.arange(k)).ravel()) if m else (
-        lambda A, b: np.einsum("eij,ej->ei", A, b), cols.ravel())
-    y = dot(Binv, x[nr:].reshape(-1, 2, *m))  # B_e^-1 x_b
-    z = np.bincount(at, dot(C.transpose(0, 2, 1), y).ravel(), (nr + 1) * k).reshape(
-        nr + 1, *m)  # x_r - sum_e C_e^T y_e, one bincount for all columns
-    z[:nr], z[nr] = inner(np.subtract(x[:nr], z[:nr], z[:nr])), 0.0  # slot nr: fixed
-    return np.concatenate([z[:nr], (y - dot(G, z.take(cols, axis=0))).reshape(-1, *m)])
-
-
 def _kernel_basis(A, solve, k: int, eps: float):
     """Orthonormal basis of ker A, A >= 0, given solve, that of the LDL^T of A - eps*I, and
     its count k < n: two block inverse iteration sweeps on k + 1 columns and Rayleigh-Ritz;
@@ -223,8 +169,9 @@ class _Pencil(namedtuple("_Pencil", "sign K0 Kd K2 factor csr verdict tail")):
     below), a certificate of A > 0 on [a, GAMMA_CAP]; K2 and tail are None if linear."""
 
     def at(self, s: float):
-        """Data of A(s): K0 + s*Kd, then s^2*K2 added in place, for a small peak RSS."""
-        with np.errstate(over="ignore", invalid="ignore"):  # _condense refuses inf, NaN
+        """Data of A(s): K0 + s*Kd, then s^2*K2 added in place, for a small peak RSS.  It
+        may overflow silently: MixedSpace.condense refuses inf and NaN."""
+        with np.errstate(over="ignore", invalid="ignore"):
             A = np.add(self.K0, s * self.Kd)
             return A if self.K2 is None else np.add(A, (s * s) * self.K2, out=A)
 
@@ -259,16 +206,14 @@ class _StabilityOperator:
         return sp.csr_matrix((data, self.plan.indices, self.plan.indptr),
                              shape=self.plan.shape)
 
-    def factor(self, data, c=None):
-        """Bubble-condensed LDL^T of block data (or its _condense parts c), its solve that
-        of _bubble_solve, and its count of non-positive eigenvalues, the B_e's plus the
-        Schur pivots' (Haynsworth), or None if it proves nothing, as a singular B_e."""
-        if (c := c or _condense(self.space, data)) is None:
+    def factor(self, data):
+        """Bubble-condensed LDL^T of block data (MixedSpace.condense), its solve, and its
+        count of non-positive eigenvalues, the B_e's plus the Schur pivots' (Haynsworth),
+        or None if it proves nothing, as a singular B_e."""
+        if (c := self.space.condense(data)) is None:
             return None, None
         lu, nonpositive = factor_with_inertia(c.schur)
-        solve = functools.partial(_bubble_solve, c.Binv, c.C[..., :6], c.G[..., :6],
-                                  self.space.condensation().cols, lu.solve)
-        return (types.SimpleNamespace(solve=solve),
+        return (types.SimpleNamespace(solve=functools.partial(c.solve, lu.solve)),
                 None if nonpositive is None else c.below + nonpositive)
 
     def verdict(self, data, f):
@@ -276,7 +221,7 @@ class _StabilityOperator:
         smallest_eigenvalue, on f at sigma = 0 and on condensed factorizations below, must
         agree in sign; ArithmeticError if it does not or the count proves nothing."""
         lam = smallest_eigenvalue(self.csr(data), lambda s: f if s == 0 else self.factor(
-            data - s * self.space.condensation().eye))
+            data - s * self.space.condensation.eye))
         if f[1] is None or (f[1] == 0) != (lam > 0.0):
             raise ArithmeticError(f"the LDL^T counts {f[1]} non-positive eigenvalues but "
                                   f"lambda_min = {lam:.6e}")
@@ -287,7 +232,7 @@ class _StabilityOperator:
         """(Z, I) or None: Z = _kernel_basis of S, its dimension k the count of the LDL^T
         of S - eps*I, eps = 1e-12*max|S|; I pivot rows of a QR of Z^T."""
         eps = 1e-12 * np.abs(self.S).max()
-        f, k = self.factor(self.S - eps * self.space.condensation().eye)
+        f, k = self.factor(self.S - eps * self.space.condensation.eye)
         if not k or (Z := _kernel_basis(self.csr(self.S), f.solve, k, eps)) is None:
             return None  # a count of None, no kernel, or no gap above it
         I, L = [], np.zeros((len(Z), k))
@@ -309,7 +254,7 @@ class _StabilityOperator:
         if self.kernel is None or (below or 0) > len(self.kernel[1]):
             return False
         Z, I = self.kernel
-        eye = self.space.condensation().eye
+        eye = self.space.condensation.eye
         norm = lambda M: math.sqrt(np.linalg.eigvalsh(M.T @ M)[-1])  # noqa: E731
         K2Z, k, J = self.csr(K2) @ Z, len(I), np.ones(len(Z), bool)
         N, M = norm(K2Z), max(0.0, -np.linalg.eigvalsh(Z.T @ K2Z)[0])  # Z^T K2 Z >= -M
@@ -422,7 +367,7 @@ def estimate_inf_sup(space: MixedSpace) -> float:
     Z = Z @ np.linalg.inv(np.linalg.cholesky(Z.T @ (Mp @ Z))).T  # M_p-orthonormal
     sigma, K_V, C = INFSUP_SHIFT, forms.assemble_h1_gram(space), INFSUP_SHIFT * Mp
     if space.include_bubbles:  # the MINI bubbles eliminated: K_V^, B^, sigma*M_p - D
-        parts = _condense(space, K_V.data, (B, C))
+        parts = space.condense(K_V.data, (B, C))
         K_V, B, C = parts.schur, parts.saddle_B, parts.saddle_C
     n_u = B.shape[1]
     lu = ldlt_factor(sp.bmat([[K_V, B.T], [B, C]]))  # quasi-definite: LDL^T in any order
@@ -457,8 +402,8 @@ def compute_errors(space: MixedSpace, w_h, p_h, exact_pressure):
     time as in assemble_load.  The displacement error is sqrt(w^T K_V w) with
     the H1 Gram matrix K_V, which integrates the discrete field exactly.
     """
-    rule, vals, _ = forms._reference_table(space, forms.LOAD_QUAD_DEGREE)
-    p, det, _ = forms._element_geometry(space)
+    rule, vals, _ = space.reference(forms.LOAD_QUAD_DEGREE)
+    p, det, _ = space.geometry
     ph, err_p2 = np.asarray(p_h)[space.mesh.triangles], 0.0
     for point, wq, v in zip(rule.points, rule.weights, vals[:3].T):
         xy = np.tensordot(point, p, axes=(0, 1))
@@ -476,9 +421,9 @@ def run_convergence(cfg: ProblemConfig, meshes) -> ConvergenceTable:
     stability first (refusing with a diagnostic if the block is not
     positive definite), and reports pressure/displacement errors with the
     observed pressure order log(e_prev/e) / log(h_prev/h), h = 2/(n - 1).
-    Each mesh eliminates the MINI bubbles from the block and the coupling once:
-    the vertex factorization gives the verdict, solve_saddle solves the condensed
-    saddle [[A^, B^^T], [B^, -D]], and the bubbles follow element by element.
+    Each mesh eliminates the MINI bubbles from the block, whose vertex factorization
+    gives the verdict, then from the block and the coupling: solve_saddle solves the
+    condensed saddle [[A^, B^^T], [B^, -D]], and the bubbles follow element by element.
 
     The displacement error is measured on the vertex (conforming P1) part
     of the field; the element bubbles are interior enrichment whose
@@ -495,20 +440,18 @@ def run_convergence(cfg: ProblemConfig, meshes) -> ConvergenceTable:
         op = _StabilityOperator(c)
         space, gt = op.space, c.gamma_tilde
         data = op.pencil(math.copysign(1.0, gt)).at(abs(gt))
-        parts = _condense(space, data, (forms.assemble_coupling(space), 0.0))
-        lam, stable = op.verdict(data, op.factor(data, parts))
-        del op, data  # its assembled parts would stay alive through the saddle solve
+        lam, stable = op.verdict(data, op.factor(data))
         if not stable:
             raise ValueError(
                 f"stabilized block is not positive definite on the {n}x{n} "
                 f"mesh at gamma_tilde = {c.gamma_tilde} "
                 f"(lambda_min = {lam:.6e}); refusing to run convergence")
+        parts = space.condense(data, (forms.assemble_coupling(space), 0.0))
+        del op, data  # its assembled parts would stay alive through the saddle solve
         F = forms.assemble_load(space, manufactured_load, scale=c.delta_gamma)
-        n_p, cols = space.n_p, space.condensation().cols
-        x = _bubble_solve(  # the pressures first, so a fixed vertex's column stays last
-            parts.Binv, parts.C, parts.G, np.hstack([cols + n_p, space.mesh.triangles]),
-            lambda z: np.concatenate(solve_saddle(SaddleSystem(
-                parts.schur, parts.saddle_B, z[n_p:], z[:n_p], C=parts.saddle_C))[::-1]),
+        n_p = space.n_p  # the saddle numbers its pressures first
+        x = parts.solve(lambda z: np.concatenate(solve_saddle(SaddleSystem(
+            parts.schur, parts.saddle_B, z[n_p:], z[:n_p], C=parts.saddle_C))[::-1]),
             np.concatenate([np.zeros(n_p), F]))
         vertex_w = np.where(space.free_dofs < 2 * space.mesh.n_nodes, x[n_p:], 0.0)
         err_p, err_w = compute_errors(

@@ -15,7 +15,9 @@ Elements are affine, so each form is a reference tensor mapped per
 element (Kirby & Logg, ACM TOMS 32, 2006): quadrature sums such as
 G[a,b,k,l] = sum_q w_q dk phi_a dl phi_b run once on the reference
 triangle, and each element applies det * invJ^T (x) invJ^T.  Only a
-weight varying in space, such as r, is summed per element.
+weight varying in space, such as r, is summed per element.  Rules, reference
+tables and element geometry come from the space (``MixedSpace.reference``,
+``MixedSpace.geometry``), built once.
 
 Element tensors are scattered by the space's scatter plans
 (``MixedSpace.scatter_plan``): each operator's CSR pattern and the data slot
@@ -30,44 +32,13 @@ constraints eliminated) unless ``reduced=False`` asks for the full ones.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import scipy.sparse as sp
 
-from .spaces import (QUAD_DEGREE, MixedSpace, make_quadrature,
-                     tabulate_scalar_basis)
+from .spaces import MixedSpace
 
 # quadrature degree for the non-polynomial integrands: loads and the exact pressure
 LOAD_QUAD_DEGREE = 10
-
-
-def _element_geometry(space: MixedSpace):
-    """Vertices, jacobian determinants and inverse-transposed jacobians, computed once
-    per space and read-only; the columns of J span the triangle edges."""
-    if "geometry" not in space._plans:
-        p = space.mesh.nodes[space.mesh.triangles]
-        J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        invJT = np.stack([J[:, 1, 1], -J[:, 1, 0], -J[:, 0, 1], J[:, 0, 0]], axis=-1)
-        space._plans["geometry"] = p, det, invJT.reshape(-1, 2, 2) / det[:, None, None]
-        for a in space._plans["geometry"]:
-            a.setflags(write=False)
-    return space._plans["geometry"]
-
-
-def _reference_table(space: MixedSpace, degree: int = QUAD_DEGREE):
-    """Rule with the reference basis values (k, nq) and gradients (k, nq, 2)."""
-    return _reference_arrays(degree, space.include_bubbles)
-
-
-@functools.cache  # read-only, so every assembly can share them
-def _reference_arrays(degree: int, include_bubbles: bool):
-    rule = make_quadrature(degree)
-    tables = tabulate_scalar_basis(rule, include_bubbles)
-    for a in tables:
-        a.setflags(write=False)
-    return (rule, *tables)
 
 
 def _gradgrad(space: MixedSpace, weight=None):
@@ -76,8 +47,8 @@ def _gradgrad(space: MixedSpace, weight=None):
     weight(x, y) is evaluated at the physical quadrature points; without
     it the quadrature sum is done once for all elements.
     """
-    rule, _, rg = _reference_table(space)
-    p, det, invJT = _element_geometry(space)
+    rule, _, rg = space.reference()
+    p, det, invJT = space.geometry
     k, nq, _ = rg.shape
     w = rule.weights
     if weight is not None:
@@ -135,8 +106,8 @@ def assemble_divdiv(space: MixedSpace, reduced: bool = True) -> sp.csr_matrix:
 def assemble_coupling(space: MixedSpace, reduced: bool = True) -> sp.csr_matrix:
     """Pressure-displacement coupling (B v)_q = int q_h div v_h."""
     plan = space.scatter_plan("pu", reduced)
-    rule, vals, rg = _reference_table(space)
-    _, det, invJT = _element_geometry(space)
+    rule, vals, rg = space.reference()
+    _, det, invJT = space.geometry
     k = rg.shape[0]
     # C[p, a, m] = int hat_p d_m phi_a on the reference triangle
     C = np.einsum("q,pq,aqm->pam", rule.weights, vals[:3], rg).reshape(3 * k, 2)
@@ -153,8 +124,8 @@ def assemble_load(space: MixedSpace, f, scale: float = 1.0,
     degree LOAD_QUAD_DEGREE because the model loads are not polynomial; f is
     evaluated one point at a time (all at once: 14.9 MB at 65x65).
     """
-    rule, vals, _ = _reference_table(space, LOAD_QUAD_DEGREE)
-    p, det, _ = _element_geometry(space)
+    rule, vals, _ = space.reference(LOAD_QUAD_DEGREE)
+    p, det, _ = space.geometry
     corners, local = p.transpose(1, 0, 2).copy(), np.zeros((len(vals), 2 * len(p)))
     for point, w, v in zip(rule.points, rule.weights, vals.T):  # local[a, (e, c)]
         xy = np.tensordot(point, corners, axes=1)
@@ -171,8 +142,8 @@ def assemble_load(space: MixedSpace, f, scale: float = 1.0,
 def assemble_pressure_mass(space: MixedSpace) -> sp.csr_matrix:
     """L2 mass matrix of the continuous P1 pressure space."""
     plan = space.scatter_plan("pp")
-    rule, vals, _ = _reference_table(space)
-    _, det, _ = _element_geometry(space)
+    rule, vals, _ = space.reference()
+    _, det, _ = space.geometry
     local = np.einsum("q,pq,rq->pr", rule.weights, vals[:3], vals[:3])
     return plan.assemble(local[None, :, :] * det[:, None, None])
 
@@ -180,8 +151,8 @@ def assemble_pressure_mass(space: MixedSpace) -> sp.csr_matrix:
 def assemble_h1_gram(space: MixedSpace, reduced: bool = True) -> sp.csr_matrix:
     """Full H1 inner product int grad w : grad v + int w . v."""
     plan = space.scatter_plan("uu", reduced)
-    rule, vals, _ = _reference_table(space)
-    _, det, _ = _element_geometry(space)
+    rule, vals, _ = space.reference()
+    _, det, _ = space.geometry
     Kg = np.einsum("eabii->eab", _gradgrad(space))
     Ms = np.einsum("q,aq,bq->ab", rule.weights, vals, vals)
     local = Kg + Ms[None, :, :] * det[:, None, None]

@@ -18,7 +18,7 @@ from stabmix import (AbstractConstants, MixedSpace, ProblemConfig,
                      assemble_pressure_mass, build_structured_mesh, compute_M0,
                      compute_errors, estimate_inf_sup, find_stability_limits,
                      is_stable, manufactured_pressure, run_convergence)
-from stabmix import analysis, forms, solvers
+from stabmix import analysis, forms, solvers, spaces
 from stabmix.analysis import CertifiedStep, Crossing, _StabilityOperator
 from stabmix.mesh import TriMesh
 from stabmix.spaces import make_quadrature
@@ -316,11 +316,11 @@ def test_condensed_test_rejects_bubble_block_unfactored():
     op = _StabilityOperator(ProblemConfig(problem=1, n=5))
     data = _data(op, 1.0)
     assert op.factor(data)[1] == 0
-    bubble_blocks = op.space.condensation().bb
+    bubble_blocks = op.space.condensation.bb
     for slot in ((1, 1), (0, 0)):  # b11 < 0, so det < 0; then also b00 < 0
         data[bubble_blocks[(7, *slot)]] = -1.0
         below = np.count_nonzero(np.linalg.eigvalsh(data[bubble_blocks[7]]) < 0.0)
-        assert analysis._condense(op.space, data).below == below > 0
+        assert op.space.condense(data).below == below > 0
         assert op.factor(data)[1] >= below
         assert solvers.factor_with_inertia(op.csr(data))[1] > 0
 
@@ -334,7 +334,7 @@ def _trace_of(cfg, sign, factored=None, certified=None):
     if factored is not None:
         real = pencil
         pencil = real._replace(
-            factor=lambda data, c=None: factored.append(data) or real.factor(data, c),
+            factor=lambda data: factored.append(data) or real.factor(data),
             tail=lambda *args: certified.append(args) or real.tail(*args))
     return analysis._certified_limit(pencil, trace), trace
 
@@ -447,6 +447,21 @@ def test_kernel_certificate_65_problem2(monkeypatch):
     assert trace[0].hi == pytest.approx(-104.93, abs=0.01)
 
 
+@pytest.mark.slow
+def test_bounded_unstable_interval_129_problem2():
+    # 129x129 problem 2's negative direction crosses inside (-256, -128) and is stable
+    # again by -2048: no certified step, a kernel certificate's included, reaches past
+    # the crossing.  Ranges and signs only, as full-precision loads at 65 nodes and
+    # above move with the BLAS thread count
+    limit, trace = _trace_of(ProblemConfig(problem=2, n=129), -1.0)
+    assert -256.0 < limit < -128.0
+    assert isinstance(trace[-1], Crossing) and trace[-1].lam < 0.0
+    assert all(e.hi >= limit for e in trace if isinstance(e, CertifiedStep))
+    for gt, stable in ((-2048.0, True), (-200.0, False)):
+        lam, verdict = is_stable(ProblemConfig(problem=2, n=129, gamma_tilde=gt))
+        assert verdict == stable == (lam > 0.0)
+
+
 def _dense_kernel_forms(op, sign):
     """Dense G(0) and G'(0) = W^T Kd W of the kernel certificate, on the
     orthonormal bases Z of ker S and W of its K0-orthogonal complement."""
@@ -506,7 +521,7 @@ def _kernel_before(op):
     """ker S as found before its dimension was counted: two block inverse iteration sweeps
     on S + eps*I from 16 columns, doubling the block until a Ritz value is >= eps."""
     S, eps, b = op.csr(op.S), 1e-12 * np.abs(op.S).max(), 16
-    solve = op.factor(op.S + eps * op.space.condensation().eye)[0].solve
+    solve = op.factor(op.S + eps * op.space.condensation.eye)[0].solve
     while b < S.shape[0]:
         Y = np.cos(np.outer(np.arange(1.0, S.shape[0] + 1), np.arange(1.0, b + 1)))
         for _ in range(2):
@@ -537,7 +552,7 @@ def test_kernel_dimension_is_counted(monkeypatch, n, problem):
 
     op = _StabilityOperator(ProblemConfig(problem=problem, n=n))
     eps = 1e-12 * np.abs(op.S).max()
-    k = op.factor(op.S - eps * op.space.condensation().eye)[1]
+    k = op.factor(op.S - eps * op.space.condensation.eye)[1]
     assert k == (n - 2 if problem == 2 else 0)
     if n <= 9:
         assert sla.null_space(op.csr(op.S).toarray()).shape[1] == k
@@ -566,7 +581,7 @@ def test_crossing_factors_its_block_once(monkeypatch):
     op = _StabilityOperator(ProblemConfig(problem=1, n=9))
     limit, trace = _trace_of(op.cfg, 1.0)
     assert trace[-1].load == pytest.approx(14.697, abs=1e-3)
-    schur = analysis._condense(op.space, _data(op, trace[-1].load)).schur.toarray()
+    schur = op.space.condense(_data(op, trace[-1].load)).schur.toarray()
     assert np.array_equal(factored[-1], schur)
     assert not np.array_equal(factored[-2], schur)
 
@@ -587,7 +602,7 @@ def test_verdicts_build_no_full_block(monkeypatch):
     for cfg, check in runs:
         assert check(cfg)
         space = _StabilityOperator(cfg).space
-        nvf = len(space.condensation().indptr) - 1
+        nvf = len(space.condensation.indptr) - 1
         assert nvf < len(space.free_dofs) and set(shapes) == {(nvf, nvf)}
         shapes.clear()
 
@@ -1024,8 +1039,8 @@ def test_saddles_factor_the_condensed_system(monkeypatch, problem, load):
 @pytest.mark.parametrize("problem", [1, 2])
 def test_convergence_33_65(monkeypatch, problem):
     # the condensed saddle, its bubbles recovered, solves the full 65x65 system
-    real, solved = analysis._bubble_solve, []
-    monkeypatch.setattr(analysis, "_bubble_solve",
+    real, solved = spaces.Condensed.solve, []
+    monkeypatch.setattr(spaces.Condensed, "solve",
                         lambda *args: solved.append(real(*args)) or solved[-1])
     cfg = ProblemConfig(problem=problem, n=65, gamma_tilde=2.9)
     assert run_convergence(cfg, [33, 65]).rows[1].order >= 1.9
@@ -1038,7 +1053,7 @@ def test_convergence_33_65(monkeypatch, problem):
 
 
 def _bubble_solve_before(Binv, C, G, cols, inner, x):
-    """_bubble_solve as it was, with its bincount index built for vectors too."""
+    """Condensed.solve as it was, with its bincount index built for vectors too."""
     nr, m = len(x) - 2 * len(Binv), x.shape[1:]
     dot = np.matmul if m else (lambda A, b: np.einsum("eij,ej->ei", A, b))
     y = dot(Binv, x[nr:].reshape(-1, 2, *m))
@@ -1057,18 +1072,19 @@ def test_bubble_solve_bit_identical(problem, n):
     # the block's solve, as in a factorization, and the saddle's, as in run_convergence
     op, rng = _StabilityOperator(ProblemConfig(problem=problem, n=n)), np.random.default_rng(n)
     space, n_p = op.space, op.space.n_p
-    c = analysis._condense(space, _data(op, 2.0))
-    saddle = analysis._condense(space, _data(op, 2.0), (assemble_coupling(space), 0.0))
-    cols = space.condensation().cols
-    for parts, N in (
-            ((c.Binv, c.C[..., :6], c.G[..., :6], cols,
-              analysis.factor_with_inertia(c.schur)[0].solve), op.plan.shape[0]),
-            ((saddle.Binv, saddle.C, saddle.G, np.hstack([cols + n_p, space.mesh.triangles]),
-              lambda z: np.cos(z)), op.plan.shape[0] + n_p)):
+    block = space.condense(_data(op, 2.0))
+    saddle = space.condense(_data(op, 2.0), (assemble_coupling(space), 0.0))
+    # the saddle numbers its pressures first, so a fixed vertex's row stays last
+    cols = space.condensation.cols
+    assert np.array_equal(block.cols, cols)
+    assert np.array_equal(saddle.cols, np.hstack([cols + n_p, space.mesh.triangles]))
+    for c, inner, N in (
+            (block, analysis.factor_with_inertia(block.schur)[0].solve, op.plan.shape[0]),
+            (saddle, lambda z: np.cos(z), op.plan.shape[0] + n_p)):
         for x in [rng.standard_normal(N) for _ in range(3)] + [
                 rng.standard_normal((N, k)) for k in (1, 8, 2, 8)]:
-            assert (analysis._bubble_solve(*parts, x).tobytes()
-                    == _bubble_solve_before(*parts, x).tobytes())
+            assert (c.solve(inner, x).tobytes()
+                    == _bubble_solve_before(c.Binv, c.C, c.G, c.cols, inner, x).tobytes())
 
 
 def test_convergence_refuses_unstable():

@@ -193,6 +193,30 @@ def test_elastic_parts_matches_pointwise_oracle(include_bubbles):
         pointwise_integral(space, weighted_transpose, rule), rel=1e-12)
 
 
+def test_load_form_matches_continuum_identity():
+    # for a divergence-free v vanishing on the sides and the bottom,
+    # R(v, v) = int r (grad v)^T : grad v = int_top v_2^2, as r = 1 - y vanishes on
+    # the top.  v = curl psi; its vertex interpolant, bubbles zero, converges at
+    # second order, and the exact side, a degree-8 polynomial, is Gauss-Legendre's
+    def psi_derivatives(x, y):
+        f, df = (1.0 - x * x) ** 2, -4.0 * x * (1.0 - x * x)
+        g, dg, h = (1.0 + y) ** 2, 2.0 * (1.0 + y), 1.0 + 0.3 * x + 0.5 * y * y
+        return df * g * h + 0.3 * f * g, f * dg * h + f * g * y  # psi_x, psi_y
+
+    t, wt = np.polynomial.legendre.leggauss(8)
+    exact = wt @ psi_derivatives(t, np.ones_like(t))[0] ** 2
+    assert exact == pytest.approx(88.94171428571428, rel=1e-14)
+    errors = []
+    for n in (9, 17, 33):
+        space = MixedSpace(build_structured_mesh(n), problem=1)
+        v = interpolate_p1(space, lambda x, y: psi_derivatives(x, y)[1],
+                           lambda x, y: -psi_derivatives(x, y)[0])
+        R = elastic_parts(space, reduced=False)[1]
+        errors.append(exact - v @ (R @ v))
+    assert all(3.8 <= a / b <= 4.2 for a, b in zip(errors, errors[1:]))
+    assert abs(errors[-1]) <= 2e-3 * exact
+
+
 def test_h1_gram_and_pressure_mass_match_pointwise_oracle():
     space = jittered_space(5, 1, seed=4)
     K = assemble_h1_gram(space, reduced=False)
@@ -378,8 +402,8 @@ def _coo_vector(P, space, reduced):
 def coo_oracle(space, reduced):
     """Every operator of forms from the same element kernels, scattered as
     COO triplets and restricted to the free dofs by slicing."""
-    rule, vals, rg = forms._reference_table(space)
-    _, det, invJT = forms._element_geometry(space)
+    rule, vals, rg = space.reference()
+    _, det, invJT = space.geometry
     k = rg.shape[0]
     Pd = forms._gradgrad(space)
     Pr = forms._gradgrad(space, lambda x, y: 1.0 - y)
@@ -393,8 +417,8 @@ def coo_oracle(space, reduced):
     B = sp.coo_matrix((Bloc.ravel(), (rows, cols)),
                       shape=(space.n_p, space.n_u)).tocsr()
     Mloc = np.einsum("q,pq,rq->pr", rule.weights, vals[:3], vals[:3])
-    rule10, vals10, _ = forms._reference_table(space, forms.LOAD_QUAD_DEGREE)
-    p, _, _ = forms._element_geometry(space)
+    rule10, vals10, _ = space.reference(forms.LOAD_QUAD_DEGREE)
+    p, _, _ = space.geometry
     xy = rule10.points @ p
     Floc = ((vals10 * rule10.weights) @ manufactured_load(xy[..., 0], xy[..., 1])
             * det[:, None, None])

@@ -17,8 +17,8 @@ from stabmix import (MixedSpace, NonSymmetricMatrixError, ProblemConfig,
                      build_structured_mesh, estimate_inf_sup,
                      find_stability_limits, is_stable, manufactured_load,
                      run_convergence, smallest_eigenvalue, solve_saddle)
-from stabmix import analysis, solvers
-from stabmix.analysis import _condense, _StabilityOperator
+from stabmix import solvers, spaces
+from stabmix.analysis import _StabilityOperator
 
 
 def random_spd(n, seed, scale=1.0):
@@ -140,7 +140,7 @@ def test_assembled_blocks_across_critical_load(problem, n, gt, classical,
     assert stable == (expect_sign > 0)
     assert lam == pytest.approx(lam_dense, rel=1e-8)
     assert lam_condensed == pytest.approx(lam_dense, rel=1e-8)
-    assert (_condense(op.space, data).below > 0) == indefinite_b
+    assert (op.space.condense(data).below > 0) == indefinite_b
 
 
 @pytest.mark.parametrize("A", [[[2.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 1.0]],
@@ -294,8 +294,8 @@ def test_solve_saddle_matches_default_lu(monkeypatch, problem, n, gt, variant):
     rhs_u = assemble_load(op.space, manufactured_load)
     n_p = op.space.n_p
     if variant == "condensed":
-        real, solved = analysis._bubble_solve, []
-        monkeypatch.setattr(analysis, "_bubble_solve",
+        real, solved = spaces.Condensed.solve, []
+        monkeypatch.setattr(spaces.Condensed, "solve",
                             lambda *args: solved.append(real(*args)) or solved[-1])
         run_convergence(ProblemConfig(problem=problem, gamma_tilde=gt), [n])
         p, u = solved[-1][:n_p], solved[-1][n_p:]

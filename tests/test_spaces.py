@@ -1,5 +1,6 @@
 """Quadrature rules, reference bases, dof maps, boundary conditions and scatter plans."""
 
+import dataclasses
 import tracemalloc
 from math import factorial
 
@@ -301,3 +302,38 @@ def test_assembly_sums_like_bincount():
             tensor = rng.standard_normal(len(plan.pos)) * 10.0 ** rng.integers(-8, 8, len(plan.pos))
             want = np.bincount(plan.pos, tensor, minlength=len(plan.indices) + 1)[:-1]
             assert plan.assemble(tensor).data.tobytes() == want.tobytes(), (n, form)
+
+
+def _arrays(value):
+    """The arrays in value, through tuples and dataclasses."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_cached_members_are_read_only_and_built_once():
+    # every operator, condensation and shift data - s*eye of the space shares
+    # these arrays; none of them is built with the space
+    space = MixedSpace(build_structured_mesh(5), problem=1)
+    assert space._plans == {} and not {"geometry", "basis_pairs", "condensation"} & set(
+        vars(space))
+    members = {"geometry": lambda: space.geometry,
+               "reference(6)": lambda: space.reference(6),
+               "reference(10)": lambda: space.reference(10),
+               "basis_pairs": lambda: space.basis_pairs,
+               "condensation": lambda: space.condensation}
+    members.update({form: lambda form=form: space.scatter_plan(form)
+                    for form in ("uu", "pu", "pp")})
+    for name, member in members.items():
+        value = member()
+        assert member() is value, name
+        arrays = list(_arrays(value))
+        assert arrays and not any(a.flags.writeable for a in arrays), name
+        with pytest.raises(ValueError, match="read-only"):
+            arrays[-1][(0,) * arrays[-1].ndim] = 0
+    assert space.reference() is space.reference(6)
