@@ -166,18 +166,17 @@ def _kernel_basis(A, solve, k: int, eps: float):
 class _Pencil(namedtuple("_Pencil", "sign K0 Kd K2 factor csr verdict tail")):
     """The block A(s) = K0 + s*Kd + s^2*K2, s = |gt|, of the loading direction sign as
     data over one CSR pattern, its operator's factor, csr and verdict, and tail(a,
-    below), a certificate of A > 0 on [a, GAMMA_CAP]; K2 and tail are None if linear."""
+    below), a certificate of A > 0 on [a, GAMMA_CAP]; linear: K2 = 0.0, tail None."""
 
     def at(self, s: float):
         """Data of A(s): K0 + s*Kd, then s^2*K2 added in place, for a small peak RSS.  It
         may overflow silently: MixedSpace.condense refuses inf and NaN."""
         with np.errstate(over="ignore", invalid="ignore"):
-            A = np.add(self.K0, s * self.Kd)
-            return A if self.K2 is None else np.add(A, (s * s) * self.K2, out=A)
+            return np.add(A := np.add(self.K0, s * self.Kd), (s * s) * self.K2, out=A)
 
     def slope(self, s: float):
-        """Data of A'(s): never modify it."""
-        return self.Kd if self.K2 is None else self.Kd + 2.0 * s * self.K2
+        """Data of A'(s)."""
+        return self.Kd + 2.0 * s * self.K2
 
 
 class _StabilityOperator:
@@ -194,11 +193,11 @@ class _StabilityOperator:
         self.S = forms.assemble_divdiv(self.space).data
 
     def pencil(self, sign: float) -> _Pencil:
-        """Kd = -sign*mu*R + m1*S, K2 = m2*S (None if 0) and K2's kernel certificate."""
-        cfg = self.cfg
+        """Kd = -sign*mu*R + m1*S, and K2 = m2*S with its kernel certificate, or 0.0."""
+        cfg, K2, tail = self.cfg, 0.0, None
         Kd = -sign * cfg.mu * self.R + cfg.m1 * self.S
-        K2 = cfg.m2 * self.S if cfg.m2 > 0 else None
-        tail = None if K2 is None else functools.partial(self.kernel_certified, Kd, K2)
+        if cfg.m2 > 0:
+            tail = functools.partial(self.kernel_certified, Kd, K2 := cfg.m2 * self.S)
         return _Pencil(sign, self.K0, Kd, K2, self.factor, self.csr, self.verdict, tail)
 
     def csr(self, data) -> sp.csr_matrix:
@@ -306,10 +305,10 @@ def _certified_limit(pencil: _Pencil, trace: list) -> float:
     """
     tol, cap, sign, a = BISECT_TOL, GAMMA_CAP, pencil.sign, 0.0
     while a < cap:
-        A, dA = pencil.at(a), pencil.slope(a)
-        below = pencil.factor(dA)[1] if a == 0 or pencil.K2 is not None else None
+        A, dA = pencil.at(a), pencil.slope(a)  # a linear pencil's A' is A'(0)
+        below = None if a and pencil.tail is None else pencil.factor(dA)[1]
         ray = below == 0  # A'(a)'s non-positive eigenvalues, the certificate's bound
-        if not ray and pencil.K2 is not None and pencil.tail(a, below):
+        if not ray and pencil.tail is not None and pencil.tail(a, below):
             trace.append(CertifiedStep(sign * a, sign * cap))
             return sign * math.inf
         f, nonpositive = pencil.factor(A)

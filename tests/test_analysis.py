@@ -329,13 +329,14 @@ def _trace_of(cfg, sign, factored=None, certified=None):
     """The limit and trace of one direction's search.  Given lists, the pencil it reads
     appends to them the data of each factorization the search makes itself (its ray,
     A(a), tangent and end tests; a certificate and lambda_min's shifts factor through
-    the operator) and the arguments of each tail certificate."""
+    the operator) and the arguments of each tail certificate; a linear pencil keeps
+    its tail None, which tells the search that it is linear."""
     trace, pencil = [], _StabilityOperator(cfg).pencil(sign)
     if factored is not None:
         real = pencil
         pencil = real._replace(
             factor=lambda data: factored.append(data) or real.factor(data),
-            tail=lambda *args: certified.append(args) or real.tail(*args))
+            tail=real.tail and (lambda *args: certified.append(args) or real.tail(*args)))
     return analysis._certified_limit(pencil, trace), trace
 
 
