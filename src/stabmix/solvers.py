@@ -47,8 +47,7 @@ def _as_symmetric(S, what: str):
     S = sp.csr_matrix(S, dtype=float)
     if not np.all(np.isfinite(S.data)):
         raise ValueError(f"{what} has non-finite entries")
-    asym = abs(S - S.T)
-    asym_max = asym.max() if asym.nnz else 0.0
+    asym_max = abs(S - S.T).max() if S.nnz else 0.0
     scale = abs(S).max() if S.nnz else 0.0
     if asym_max > SYMMETRY_RTOL * max(scale, 1e-300):
         raise NonSymmetricMatrixError(
@@ -137,18 +136,20 @@ def largest_ritz_value(K, M, solve, tol: float, start=None) -> float:
     """Largest Ritz value theta of K x = lambda M x, M > 0, solve(b) = M^-1 b: Lanczos in
     the M inner product from a seeded Gaussian start, or from start = (z, M z), so that M
     need not be applied, stops at the first step whose residual bound beta_{j+1}*|s_j| (s:
-    T_j's top eigenvector) is at most tol*|theta| (ARPACK's test; theta is then that close
-    to some lambda, below lambda_max if the run stalls on a cluster; exact at a breakdown,
-    beta = 0); ArithmeticError after len(z) steps.  Only theta is read: no basis is kept,
-    nothing is reorthogonalized, and a Ritz value exceeds lambda_max only by roundoff."""
+    T_j's top eigenvector) is at most tol*|theta| (ARPACK's test less its eps^(2/3) floor,
+    so it cannot pass near theta = 0; theta is then that close to some lambda, below
+    lambda_max if the run stalls on a cluster; exact at a breakdown, beta = 0);
+    ArithmeticError after len(z) steps.  Only theta is read: no basis is kept, nothing is
+    reorthogonalized, and a Ritz value exceeds lambda_max only by roundoff.  einsum takes
+    the inner products, summed in one order at every BLAS thread count."""
     z, r = start or ((z := np.random.default_rng(0).standard_normal(M.shape[0])), M @ z)
-    Mv, v, alpha, beta = 0.0, 0.0, [], [np.sqrt(z @ r)]  # r = M z throughout
+    Mv, alpha, beta = 0.0, [], [np.sqrt(np.einsum("i,i", z, r))]  # r = M z throughout
     for j in range(len(z)):
-        (Mv_prev, Mv), (v_prev, v) = (Mv, r / beta[-1]), (v, z / beta[-1])
-        alpha.append(v @ (r := K @ v))
+        Mv_prev, Mv, v = Mv, r / beta[-1], z / beta[-1]
+        alpha.append(np.einsum("i,i", v, (r := K @ v)))
         r -= alpha[-1] * Mv + beta[-1] * Mv_prev
         z = solve(r)
-        beta.append(np.sqrt(max(z @ r, 0.0)))
+        beta.append(np.sqrt(max(np.einsum("i,i", z, r), 0.0)))
         # T_j's top eigenpair by MRRR (range 3: by index); dstemr overwrites its e
         _, w, s, info = lapack.dstemr(np.array(alpha), np.array(beta[1:]), 3, 0.0, 0.0,
                                       j + 1, j + 1)
@@ -184,8 +185,7 @@ def solve_saddle(system: SaddleSystem):
                          f"{n_u} displacement dofs")
     C = None if system.C is None else _as_symmetric(system.C, "saddle pressure block")
     K = sp.bmat([[A, B.T], [B, C]], format="csc")
-    rhs = np.concatenate([np.asarray(system.rhs_u, dtype=float),
-                          np.asarray(system.rhs_p, dtype=float)])
+    rhs = np.concatenate([system.rhs_u, system.rhs_p]).astype(float)
     if rhs.shape[0] != n_u + n_p:
         raise ValueError("right-hand side length does not match block sizes")
 

@@ -682,7 +682,7 @@ def test_linear_block_grows_no_step(monkeypatch):
     monkeypatch.setattr(analysis, "factor_with_inertia",
                         lambda A: calls.append(None) or real(A))
     limit, trace = _trace_of(ProblemConfig(problem=1, n=9), 1.0)
-    ends = (0.0, 14.672504687463508, 14.687175916973294, 14.68719058537317)
+    ends = (0.0, 14.672504706962252, 14.687175916992484, 14.687190585373058)
     assert limit == pytest.approx(ends[-1], rel=1e-12)
     steps, (crossing,) = trace[:-1], trace[-1:]
     assert [s.lo for s in steps] == pytest.approx(ends[:-1], rel=1e-12)
