@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -532,6 +533,20 @@ def _kernel_before(op):
             return Y @ V[:, :k] if k and theta[k] >= 1e3 * eps else None
         b *= 2
     return None
+
+
+@pytest.mark.parametrize("d,k,found", [((0.0, 0.0, 1.0, 2.0, 3.0), 2, True),
+                                         ((0.0, 0.0, 1e-10, 2.0, 3.0), 2, False),
+                                         ((0.0, 0.0, 1.0, 2.0, 3.0), 1, False)])
+def test_kernel_basis_needs_a_gap(d, k, found):
+    # on a diagonal A >= 0 with eps = 1e-12: the basis of the two zeros, and None when
+    # the next eigenvalue 1e-10 lies below 1e3*eps or the count k misses a zero
+    d = np.array(d)
+    Z = analysis._kernel_basis(sp.diags(d), lambda Y: Y / (d - 1e-12)[:, None], k, 1e-12)
+    assert (Z is not None) == found
+    if found:
+        assert Z.shape == (5, 2) and np.allclose(Z[2:], 0.0, atol=1e-12)
+        assert np.allclose(Z.T @ Z, np.eye(2))
 
 
 @pytest.mark.parametrize("problem", [1, 2])

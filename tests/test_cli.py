@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import stabmix
 from stabmix import (ConvergenceRow, ConvergenceTable, ProblemConfig,
                      StabilityReport)
-from stabmix.cli import RunSpec, emit, main, parse_args
+from stabmix.cli import RunSpec, emit, main, parse_args, run
 
 
 def parse_emitted_json(text: str) -> dict:
@@ -313,3 +313,16 @@ def test_overflowing_load_raises(argv, error):
                           timeout=60, env=env)
     assert done.returncode == 1 and error in done.stderr
     assert "RuntimeWarning" not in done.stderr
+
+
+def test_parse_empty_nodes_list_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["stability", "--nodes", ","])
+    assert exc.value.code == 2
+    assert "--nodes list must not be empty" in capsys.readouterr().err
+
+
+def test_run_refuses_an_unknown_command():
+    # parse_args admits only the three commands; run refuses a RunSpec built otherwise
+    with pytest.raises(ValueError, match="unknown command 'frobnicate'"):
+        run(_spec(command="frobnicate"))

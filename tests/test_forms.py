@@ -489,3 +489,9 @@ def test_elastic_parts_transient_memory():
         tracemalloc.stop()
     returned = sum(a.nbytes for A in mats for a in (A.data, A.indices, A.indptr))
     assert peak < 3.0 * returned
+
+
+def test_load_refuses_a_field_of_the_wrong_shape():
+    space = MixedSpace(build_structured_mesh(3), problem=1)
+    with pytest.raises(ValueError, match=r"load field returned shape \(8,\), expected \(8, 2\)"):
+        assemble_load(space, lambda x, y: x + y)

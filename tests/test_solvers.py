@@ -366,3 +366,35 @@ def test_lambda_min_nondecreasing_in_stabilization():
     S = assemble_divdiv(space)
     lams = [smallest_eigenvalue((A + M * S).tocsr()) for M in (0.0, 160.0, 640.0)]
     assert lams[0] <= lams[1] + 1e-10 <= lams[2] + 2e-10
+
+
+def test_count_refused_on_a_non_symmetric_permutation():
+    # a zero diagonal makes SuperLU pivot off it: perm_r [0 1] against perm_c [1 0], so
+    # U's diagonal is no LDL^T's D and its signs count nothing
+    lu, count = solvers.factor_with_inertia(sp.csc_matrix([[0.0, 1.0], [1.0, 0.0]]))
+    assert not np.array_equal(lu.perm_r, lu.perm_c) and count is None
+
+
+def test_solve_saddle_refuses_mismatched_blocks():
+    A, B = sp.identity(4, format="csr"), sp.csr_matrix(np.eye(2, 4))
+    with pytest.raises(ValueError, match=r"coupling block shape \(2, 3\) does not match 4"):
+        solve_saddle(SaddleSystem(A, B[:, :3], np.ones(4), np.zeros(2)))
+    with pytest.raises(ValueError, match="right-hand side length does not match"):
+        solve_saddle(SaddleSystem(A, B, np.ones(4), np.zeros(3)))
+
+
+@pytest.mark.parametrize("solution,message", [
+    (lambda x: np.full_like(x, np.nan), "solve produced non-finite values"),
+    (lambda x: x + 1e-6, r"block residual .* exceeds 1e-10")])
+def test_solve_saddle_refuses_a_bad_solution(monkeypatch, solution, message):
+    # a factorization whose solve returns NaN, or a solution 1e-6 off, is refused
+    real = solvers.ldlt_factor
+
+    def spoiled(K):
+        lu = real(K)
+        return types.SimpleNamespace(solve=lambda b: solution(lu.solve(b)))
+
+    monkeypatch.setattr(solvers, "ldlt_factor", spoiled)
+    A, B = sp.csr_matrix(random_spd(6, 3)), sp.csr_matrix(np.eye(2, 6))
+    with pytest.raises(SingularSaddleError, match=message):
+        solve_saddle(SaddleSystem(A, B, np.ones(6), np.ones(2)))
