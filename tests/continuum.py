@@ -42,8 +42,9 @@ def critical_load(problem: int, N: int) -> float:
     def field(a, b):  # a_i(x_p)*b_j(y_q), one row per basis function (i, j)
         return np.einsum("ip,jq->ijpq", a, b).reshape(N * N, -1)
 
-    e11, e12, w = field(df, dg), 0.5 * (field(f, d2g) - field(d2f, g)), np.outer(wt, wt)
-    E = 4.0 * ((e11 * w.ravel()) @ e11.T + (e12 * w.ravel()) @ e12.T)
+    e11, e12 = field(df, dg), 0.5 * (field(f, d2g) - field(d2f, g))
+    w = np.outer(wt, wt).ravel()
+    E = 4.0 * ((e11 * w) @ e11.T + (e12 * w) @ e12.T)  # 2 eps:eps = 4 (eps_11^2 + eps_12^2)
     top = np.einsum("ip,j->ijp", df, g1).reshape(N * N, -1)  # -v_2 on the top
     T = (top * wt) @ top.T
     lam, Q = np.linalg.eigh(E)
