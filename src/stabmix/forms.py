@@ -14,8 +14,8 @@ error norms.
 Elements are affine, so each form is a reference tensor mapped per
 element (Kirby & Logg, ACM TOMS 32, 2006): quadrature sums such as
 G[a,b,k,l] = sum_q w_q dk phi_a dl phi_b run once on the reference
-triangle, and each element applies det * invJ^T (x) invJ^T.  Only a
-weight varying in space, such as r, is summed per element.  Rules, reference
+triangle, and each element applies det * invJ^T (x) invJ^T.  The affine
+weight r enters by its vertex values (P1-weighted sums).  Rules, reference
 tables and element geometry come from the space (``MixedSpace.reference``,
 ``MixedSpace.geometry``), built once.
 
@@ -44,19 +44,16 @@ LOAD_QUAD_DEGREE = 10
 def _gradgrad(space: MixedSpace, weight=None):
     """P[e,a,b,i,j] = int_T weight d_i phi_a d_j phi_b on every element.
 
-    weight(x, y) is evaluated at the physical quadrature points; without
-    it the quadrature sum is done once for all elements.
+    An affine weight(x, y) is taken by its vertex values c_v: weight =
+    sum_v c_v lam_v exactly, so it adds the index v to the reference sums.
     """
     rule, _, rg = space.reference()
     p, det, invJT = space.geometry
     k, nq, _ = rg.shape
-    w = rule.weights
-    if weight is not None:
-        xy = rule.points @ p
-        w = w * weight(xy[..., 0], xy[..., 1])
-        del xy
+    c, w = (np.ones((1, 1)), rule.weights[None]) if weight is None else (
+        weight(p[..., 0], p[..., 1]), rule.points.T * rule.weights)
     outer = np.einsum("aqk,bql->qabkl", rg, rg).reshape(nq, -1)
-    G = (w @ outer).reshape(-1, k * k, 4)
+    G = (c @ (w @ outer)).reshape(-1, k * k, 4)
     # T[e, (k, l), (i, j)] = invJT[e,i,k] invJT[e,j,l]
     T = np.einsum("eik,ejl->eklij", invJT, invJT).reshape(-1, 4, 4)
     P = G @ T

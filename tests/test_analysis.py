@@ -697,7 +697,7 @@ def test_linear_block_grows_no_step(monkeypatch):
     monkeypatch.setattr(analysis, "factor_with_inertia",
                         lambda A: calls.append(None) or real(A))
     limit, trace = _trace_of(ProblemConfig(problem=1, n=9), 1.0)
-    ends = (0.0, 14.672504706962252, 14.687175916992484, 14.687190585373058)
+    ends = (0.0, 14.672504707734744, 14.68717591699358, 14.687190585373212)
     assert limit == pytest.approx(ends[-1], rel=1e-12)
     steps, (crossing,) = trace[:-1], trace[-1:]
     assert [s.lo for s in steps] == pytest.approx(ends[:-1], rel=1e-12)
@@ -706,6 +706,17 @@ def test_linear_block_grows_no_step(monkeypatch):
     assert crossing.load == pytest.approx(14.69719058537317, rel=1e-12)
     assert crossing.lam == pytest.approx(-0.015688121196289023, rel=1e-6)
     assert len(calls) == 8
+
+
+def test_edge_mu_pins_the_missing_stop_test_floor():
+    # the Lanczos stop test tol*|theta| has no floor (ARPACK's is tol*max(eps^(2/3),
+    # |theta|)), so the first proposal cannot stop where the top Ritz value is about 0:
+    # at mu = 1e-4 it runs out of steps.  A floor waits for ROADMAP item 6, which bounds
+    # the rounding of the assembled pencil; once it lands this test flips on purpose
+    with pytest.raises(ArithmeticError, match="Lanczos took over 99 steps"):
+        find_stability_limits(ProblemConfig(problem=2, n=5, mu=1e-4))
+    report = find_stability_limits(ProblemConfig(problem=2, n=5, mu=1e-3))
+    assert (report.gamma_m, report.gamma_M) == (-math.inf, math.inf)
 
 
 def test_unconfirmed_crossing_raises(monkeypatch):
