@@ -157,10 +157,11 @@ class Condensed(namedtuple("Condensed", "Binv C G cols schur below saddle_B sadd
 class MixedSpace:
     """Dof bookkeeping for the MINI / P1 pair on a triangulation.
 
-    Displacement dofs: x/y component per vertex hat, then x/y per element
-    bubble (2*(n_nodes + n_tris) in total; bubbles can be dropped for the
-    deliberately unstable P1/P1 control mode).  Pressure dofs: one per
-    vertex.
+    Row e of elem_basis lists element e's basis functions: its three vertex hats,
+    the hat of vertex i being basis function i, then its bubble, basis function
+    n_nodes + e (bubbles can be dropped for the deliberately unstable P1/P1 control
+    mode).  Component c of basis function i is displacement dof 2i + c; elem_dofs
+    lists them per element in that order.  Pressure dofs: one per vertex.
 
     The boundary conditions are homogeneous and imposed by reduction to
     ``free_dofs``, never by penalties.  Problem 1 clamps both components
@@ -175,6 +176,7 @@ class MixedSpace:
     include_bubbles: bool = True
     n_u: int = field(init=False)
     n_p: int = field(init=False)
+    elem_basis: np.ndarray = field(init=False)
     elem_dofs: np.ndarray = field(init=False)
     free_dofs: np.ndarray = field(init=False)
     _plans: dict = field(init=False, default_factory=dict, repr=False, compare=False)
@@ -182,35 +184,22 @@ class MixedSpace:
     def __post_init__(self):
         if self.problem not in (1, 2):
             raise ValueError(f"unknown problem id {self.problem!r}; expected 1 or 2")
-        nn = self.mesh.n_nodes
-        nt = self.mesh.n_triangles
-        n_u = 2 * (nn + nt) if self.include_bubbles else 2 * nn
-
-        tri = self.mesh.triangles
-        vertex_cols = np.empty((nt, 6), dtype=np.int64)
-        vertex_cols[:, 0::2] = 2 * tri
-        vertex_cols[:, 1::2] = 2 * tri + 1
-        if self.include_bubbles:
-            bubble = 2 * nn + 2 * np.arange(nt, dtype=np.int64)[:, None]
-            elem_dofs = np.concatenate(
-                [vertex_cols, bubble, bubble + 1], axis=1)
-        else:
-            elem_dofs = vertex_cols
-        _read_only(elem_dofs)
-
-        object.__setattr__(self, "n_u", n_u)
-        object.__setattr__(self, "n_p", nn)
-        object.__setattr__(self, "elem_dofs", elem_dofs)
-
+        nn, nt = self.mesh.n_nodes, self.mesh.n_triangles
+        basis = self.mesh.triangles.astype(np.int64)
+        if self.include_bubbles:  # element e's bubble is basis function n_nodes + e
+            basis = np.hstack([basis, nn + np.arange(nt, dtype=np.int64)[:, None]])
         x, y = self.mesh.nodes.T
-        side = np.abs(x) >= 1.0 - BOUNDARY_TOL
-        bottom = y <= -1.0 + BOUNDARY_TOL
+        side, bottom = np.abs(x) >= 1.0 - BOUNDARY_TOL, y <= -1.0 + BOUNDARY_TOL
         walls = side | bottom
-        fixed = np.zeros(n_u, dtype=bool)
-        fixed[0:2 * nn:2] = walls if self.problem == 1 else side  # x
-        fixed[1:2 * nn:2] = walls if self.problem == 1 else bottom  # y
-        free = np.flatnonzero(~fixed)
-        _read_only(free)
+        fixed = np.zeros((nn + self.include_bubbles * nt, 2), dtype=bool)
+        fixed[:nn] = np.column_stack([walls] * 2 if self.problem == 1 else [side, bottom])
+        dofs = (2 * basis[:, :, None] + (0, 1)).reshape(nt, -1)
+        free = np.flatnonzero(~fixed)  # row-major: fixed[i, c] is dof 2i + c
+        _read_only(basis, dofs, free)
+        object.__setattr__(self, "n_u", fixed.size)
+        object.__setattr__(self, "n_p", nn)
+        object.__setattr__(self, "elem_basis", basis)
+        object.__setattr__(self, "elem_dofs", dofs)
         object.__setattr__(self, "free_dofs", free)
 
     def numbering(self, reduced: bool, dofs=None):
@@ -226,12 +215,12 @@ class MixedSpace:
 
     @functools.cached_property
     def basis_pairs(self):
-        """Sorted pattern of the elements' basis-function pairs: its row pointer and
-        columns over the basis functions, vertex hats then bubbles (j has dofs 2j and
-        2j + 1), and place[e, a, b], where element e's pair (a, b) sits in its row."""
+        """Sorted pattern of the pairs of elem_basis: its row pointer and columns over
+        the basis functions, and place[e, a, b], where element e's pair (a, b) sits in
+        its row."""
         nb = self.n_u // 2
         kt = np.uint32 if nb * nb <= 2 ** 32 else np.int64  # pair keys i * nb + j
-        b = (self.elem_dofs[:, ::2] // 2).astype(kt)
+        b = self.elem_basis.astype(kt)
         key = (b[:, :, None] * kt(nb) + b[:, None, :]).ravel()
         order = np.argsort(key, kind="stable")  # timsort: elements come in runs
         new = np.r_[True, (slots := key[order])[1:] != slots[:-1]]
@@ -248,12 +237,12 @@ class MixedSpace:
         couples dofs 2a+c and 2b+d of element e, pu[e, p, j] vertex p with
         dof j, and pp[e, p, r] vertices p and r.
 
-        Each plan derives from basis_pairs without a sort of its own: component c of
-        basis function i is dof 2i + c, so row (i, c) starts after the free rows before
-        it, each as wide as its basis row's free columns, and within it column (j, d)
-        follows the free components of the columns before j, and (j, 0) if d = 1."""
+        Each plan derives from basis_pairs without a sort of its own: in the layout of
+        the class docstring, row (i, c) starts after the free rows before it, each as
+        wide as its basis row's free columns, and within it column (j, d) follows the
+        free components of the columns before j, and (j, 0) if d = 1."""
         if (form, reduced) not in self._plans:
-            (bptr, bcol, place), basis = self.basis_pairs, self.elem_dofs[:, ::2] // 2
+            (bptr, bcol, place), basis = self.basis_pairs, self.elem_basis
             rank = bptr[basis][:, :, None] + place  # pair (a, b)'s place in the pattern
             ids, n = (  # ids[j, d]: the number of dof 2j + d (in pp: of vertex j)
                 (np.arange(self.n_u // 2)[:, None], self.n_p) if form == "pp"

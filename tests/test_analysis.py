@@ -519,6 +519,14 @@ def test_kernel_certificate_refuses_unsound_claims():
         assert op.pencil(-1.0).tail(0.0) == passes
 
 
+def test_kernel_certificate_refuses_a_count_over_k():
+    # H0 = -K0_JJ has 99 non-positive pivots against k = 3 kernel vectors on 5x5
+    # problem 2: the first factorization's count ends the certificate
+    op = _StabilityOperator(ProblemConfig(problem=2, n=5))
+    assert len(op.kernel[1]) == 3
+    assert op.kernel_certified(-op.K0, op.pencil(-1.0).K2, 0.0, 0) is False
+
+
 def _kernel_before(op):
     """ker S as found before its dimension was counted: two block inverse iteration sweeps
     on S + eps*I from 16 columns, doubling the block until a Ritz value is >= eps."""
@@ -717,6 +725,13 @@ def test_edge_mu_pins_the_missing_stop_test_floor():
         find_stability_limits(ProblemConfig(problem=2, n=5, mu=1e-4))
     report = find_stability_limits(ProblemConfig(problem=2, n=5, mu=1e-3))
     assert (report.gamma_m, report.gamma_M) == (-math.inf, math.inf)
+
+
+def test_overflowing_block_raises_in_process():
+    # m2*gt^2 overflows at gt = 1e300, so the block data hold inf and NaN: condensing
+    # them raises before any factorization, in this process as in the CLI's
+    with pytest.raises(ArithmeticError, match="non-finite entries"):
+        is_stable(ProblemConfig(problem=2, n=5, gamma_tilde=1e300))
 
 
 def test_unconfirmed_crossing_raises(monkeypatch):

@@ -118,6 +118,26 @@ def test_dof_counts():
     assert nobubble.elem_dofs.shape == (32, 6)
 
 
+@pytest.mark.parametrize("renumber", [False, True])
+@pytest.mark.parametrize("include_bubbles", [True, False])
+@pytest.mark.parametrize("problem", [1, 2])
+def test_elem_dofs_follow_the_triangles(problem, include_bubbles, renumber):
+    # row e: x and y of vertices t0, t1, t2 of triangle e, then x and y of its bubble,
+    # basis function n_nodes + e; the bubbles are never fixed
+    for n in (2, 3, 5, 9):
+        mesh = build_structured_mesh(n)
+        mesh = renumbered(mesh, seed=n) if renumber else mesh
+        space = MixedSpace(mesh, problem, include_bubbles)
+        nn = mesh.n_nodes
+        rows = [[d for t in tri for d in (2 * t, 2 * t + 1)]
+                + ([2 * (nn + e), 2 * (nn + e) + 1] if include_bubbles else [])
+                for e, tri in enumerate(mesh.triangles.tolist())]
+        assert space.elem_dofs.dtype == np.int64 and space.elem_dofs.tolist() == rows
+        assert space.free_dofs.dtype == np.int64
+        assert space.n_u == 2 * (nn + include_bubbles * mesh.n_triangles)
+        assert np.isin(np.arange(2 * nn, space.n_u), space.free_dofs).all()
+
+
 def test_unknown_problem():
     mesh = build_structured_mesh(3)
     with pytest.raises(ValueError):
@@ -318,7 +338,8 @@ def _arrays(value):
 
 def test_cached_members_are_read_only_and_built_once():
     # every operator, condensation and shift data - s*eye of the space shares
-    # these arrays; none of them is built with the space
+    # these arrays; none but the layout (elem_basis, elem_dofs, free_dofs) is built
+    # with the space
     space = MixedSpace(build_structured_mesh(5), problem=1)
     assert space._plans == {} and not {"geometry", "basis_pairs", "condensation"} & set(
         vars(space))
@@ -329,6 +350,8 @@ def test_cached_members_are_read_only_and_built_once():
                "condensation": lambda: space.condensation}
     members.update({form: lambda form=form: space.scatter_plan(form)
                     for form in ("uu", "pu", "pp")})
+    members.update({name: lambda name=name: getattr(space, name)
+                    for name in ("elem_basis", "elem_dofs", "free_dofs")})
     for name, member in members.items():
         value = member()
         assert member() is value, name
