@@ -40,9 +40,9 @@ from .solvers import (LANCZOS_TOL, SaddleSystem, factor_with_inertia, largest_ri
 from .spaces import MixedSpace
 
 INFSUP_SHIFT = -1e-5  # Lanczos shift below the spectrum [0, 2], near its bottom
-# critical loads are resolved to BISECT_TOL and unbounded beyond GAMMA_CAP.  At
-# BISECT_TOL <= 1e-11 the search was measured to stop with "not positive definite",
-# and at <= 1e-12 to differ between processes: re-measure before lowering it
+# critical loads are resolved to BISECT_TOL and unbounded beyond GAMMA_CAP.  Lowered to
+# 1e-11, 1e-12 or 1e-13, it fails 2, 4 or 6 of the 12 searches on 5...17 nodes, alike
+# in every process ("not positive definite", or a count of None): re-measure to lower it
 BISECT_TOL, GAMMA_CAP = 0.01, 1e6
 
 
@@ -188,6 +188,7 @@ class _StabilityOperator:
         self.cfg = cfg
         self.space = MixedSpace(build_structured_mesh(cfg.n), problem=cfg.problem)
         self.plan = self.space.scatter_plan("uu")
+        self.csr = self.plan.csr  # the operator of data over the plan: never modify it
         E2, R = forms.elastic_parts(self.space)
         self.K0, self.R = cfg.mu * E2.data, R.data
         self.S = forms.assemble_divdiv(self.space).data
@@ -200,20 +201,15 @@ class _StabilityOperator:
             tail = functools.partial(self.kernel_certified, Kd, K2 := cfg.m2 * self.S)
         return _Pencil(sign, self.K0, Kd, K2, self.factor, self.csr, self.verdict, tail)
 
-    def csr(self, data) -> sp.csr_matrix:
-        """The operator of data over the plan's shared arrays: never modify it."""
-        return sp.csr_matrix((data, self.plan.indices, self.plan.indptr),
-                             shape=self.plan.shape)
-
     def factor(self, data):
         """Bubble-condensed LDL^T of block data (MixedSpace.condense), its solve, and its
-        count of non-positive eigenvalues, the B_e's plus the Schur pivots' (Haynsworth),
-        or None if it proves nothing, as a singular B_e."""
-        if (c := self.space.condense(data)) is None:
+        count of non-positive eigenvalues, the B_e's plus the Schur pivots' (Haynsworth);
+        (None, None) if it proves nothing, as a singular B_e or Schur complement."""
+        if (c := self.space.condense(data)) is None or (
+                f := factor_with_inertia(c.schur))[1] is None:
             return None, None
-        lu, nonpositive = factor_with_inertia(c.schur)
-        return (types.SimpleNamespace(solve=functools.partial(c.solve, lu.solve)),
-                None if nonpositive is None else c.below + nonpositive)
+        return (types.SimpleNamespace(solve=functools.partial(c.solve, f[0].solve)),
+                c.below + f[1])
 
     def verdict(self, data, f):
         """(lambda_min, A > 0) of block data, given f = factor(data): f's count decides, and

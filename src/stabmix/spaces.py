@@ -32,7 +32,7 @@ from .mesh import TriMesh
 MAX_QUAD_DEGREE = 20
 QUAD_DEGREE = 6  # the assembly rule, see make_quadrature
 BOUNDARY_TOL = 1e-12  # a node within this of x = +-1 or y = -1 is on that side
-Condensation = namedtuple("Condensation", "bb bv upd vv indices indptr cols eye")
+Condensation = namedtuple("Condensation", "bb bv vertex vv cols eye")
 
 # gradients of the barycentric hats with respect to the reference (x, y)
 _P1_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -115,8 +115,8 @@ def _reference(degree: int, include_bubbles: bool):
 @dataclass(frozen=True)
 class ScatterPlan:
     """CSR pattern of an operator, explicit zeros included, and the data slot pos of each
-    entry of an element tensor in its native layout, as MixedSpace.scatter_plan derives
-    them; entries of fixed dofs go to the extra slot nnz, which is dropped."""
+    entry of an element tensor in its native layout (MixedSpace.scatter_plan, and the
+    condensed vertex block's); entries of fixed dofs go to the extra slot nnz, dropped."""
 
     shape: tuple
     indptr: np.ndarray
@@ -126,11 +126,15 @@ class ScatterPlan:
     def __post_init__(self):
         _read_only(self.indptr, self.indices, self.pos)
 
+    def csr(self, data) -> sp.csr_matrix:
+        """The operator of data over the shared pattern, data not copied: every view."""
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
     def assemble(self, tensor) -> sp.csr_matrix:
         """One np.add.at into the shared pattern: each slot sums in element order."""
         data = np.zeros(len(self.indices) + 1)  # slot nnz takes the fixed dofs' entries
         np.add.at(data, self.pos, tensor.ravel())  # bincount would copy pos to int64
-        return sp.csr_matrix((data[:-1], self.indices, self.indptr), shape=self.shape)
+        return self.csr(data[:-1])
 
 
 class Condensed(namedtuple("Condensed", "Binv C G cols schur below saddle_B saddle_C")):
@@ -286,22 +290,24 @@ class MixedSpace:
     @functools.cached_property
     def condensation(self) -> Condensation:
         """Slot maps that eliminate the MINI bubbles from an operator of the "uu" plan:
-        bb, bv and upd, the slots of B_e, C_e and C_e^T B_e^-1 C_e; vv, indices and
-        indptr, the slots and pattern of the free vertex block, numbered first (a fixed
-        vertex takes data slot nnz, read as zero, and block slot nvv); cols, the dofs of
-        C_e's columns, nvf for a fixed vertex; eye, the identity."""
+        bb and bv, the slots of B_e and C_e; vertex, the plan of the free vertex block,
+        numbered first, for C_e^T B_e^-1 C_e (a fixed vertex's entries go to its dropped
+        slot); vv, the block's slots in the data (a fixed vertex takes slot nnz, read as
+        zero); cols, the dofs of C_e's columns, nvf if fixed; eye, the identity."""
         plan, nt = self.scatter_plan("uu"), self.mesh.n_triangles
         nvf = int(np.searchsorted(self.free_dofs, 2 * self.mesh.n_nodes))
         pos = plan.pos.reshape(nt, 4, 4, 2, 2)  # [e, a, b, c, d], bubble a = 3
         vv = np.flatnonzero(plan.indices[:plan.indptr[nvf]] < nvf)
         to_vv = np.full(len(plan.indices) + 1, len(vv))
         to_vv[vv] = np.arange(len(vv))
-        upd = to_vv[pos[:, :3, :3].transpose(0, 1, 3, 2, 4).reshape(nt, 6, 6)]
+        upd = to_vv[pos[:, :3, :3].transpose(0, 1, 3, 2, 4)].ravel()  # as [e, 6, 6]
+        vertex = ScatterPlan((nvf, nvf), np.searchsorted(vv, plan.indptr[:nvf + 1]),
+                             plan.indices[vv], upd)
         rows = np.repeat(np.arange(plan.shape[0]), np.diff(plan.indptr))
         return Condensation(*_read_only(
-            pos[:, 3, 3], pos[:, 3, :3].transpose(0, 2, 1, 3).reshape(nt, 2, 6), upd,
-            vv, plan.indices[vv], np.searchsorted(vv, plan.indptr[:nvf + 1]),
-            np.minimum(self.numbering(True)[0][:, :6], nvf), 1.0 * (plan.indices == rows)))
+            pos[:, 3, 3], pos[:, 3, :3].transpose(0, 2, 1, 3).reshape(nt, 2, 6)), vertex,
+            *_read_only(vv, np.minimum(self.numbering(True)[0][:, :6], nvf),
+                        1.0 * (plan.indices == rows)))
 
     def condense(self, data, coupling=None):
         """The MINI bubbles of operator data over the "uu" plan eliminated element by
@@ -329,10 +335,8 @@ class MixedSpace:
             Bb = coupling[0].data[pu.pos.reshape(len(B), 3, 8)[:, :, 6:].transpose(0, 2, 1)]
             C = np.concatenate([C, Bb], axis=2)
         U = C.transpose(0, 2, 1) @ (G := Binv @ C)
-        schur = data[c.vv] - np.bincount(c.upd.ravel(), weights=U[:, :6, :6].ravel(),
-                                         minlength=len(c.vv) + 1)[:len(c.vv)]
-        nvf = len(c.indptr) - 1
-        schur = sp.csr_matrix((schur, c.indices, c.indptr), shape=(nvf, nvf))
+        schur, nvf = c.vertex.assemble(-U[:, :6, :6]), c.vertex.shape[0]
+        schur.data += data[c.vv]
         if coupling is None:
             return Condensed(Binv, C, G, c.cols, schur, below, None, None)
         BG = np.pad(U[:, 6:, :6], ((0, 0), (0, 0), (0, 2)))  # B_b,e G_e, none on bubbles

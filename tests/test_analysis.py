@@ -326,6 +326,44 @@ def test_condensed_test_rejects_bubble_block_unfactored():
         assert solvers.factor_with_inertia(op.csr(data))[1] > 0
 
 
+
+@pytest.mark.parametrize("weights", [{}, {"m1": 0.0, "m2": 0.0}],
+                         ids=["stabilized", "classical"])
+@pytest.mark.parametrize("problem", [1, 2])
+@pytest.mark.parametrize("n", [5, 9])
+def test_condense_matches_dense_elimination(n, problem, weights):
+    # the condensed parts against the bubbles eliminated densely from the block and the
+    # coupling, free vertex dofs first and then each element's two bubble dofs: at loads
+    # on both sides of the crossings (5x5 problem 1 has none), and with one bubble
+    # block made indefinite
+    op = _StabilityOperator(ProblemConfig(problem=problem, n=n, **weights))
+    space, B = op.space, assemble_coupling(op.space)
+    nvf = int(np.searchsorted(space.free_dofs, 2 * space.mesh.n_nodes))
+    v, b, Bd, seen = slice(None, nvf), slice(nvf, None), B.toarray(), set()
+    for gt, indefinite in ((0.5, False), (2.0, False), (20.0, False), (-300.0, False),
+                           (2.0, True)):
+        data = _data(op, gt)
+        if indefinite:
+            data[space.condensation.bb[7, 1, 1]] = -1.0
+        else:
+            seen.add(op.factor(data)[1] == 0)
+        A = op.csr(data).toarray()
+        X = np.linalg.solve(A[b, b], np.hstack([A[b, v], Bd[:, b].T]))  # [A_bv, B_b^T]
+        block, parts = space.condense(data), space.condense(data, (B, 0.0))
+        below = sum(np.count_nonzero(np.linalg.eigvalsh(A[i:i + 2, i:i + 2]) < 0.0)
+                    for i in range(nvf, len(A), 2))
+        assert block.below == parts.below == below and (below > 0) >= indefinite
+        schur = A[v, v] - A[v, b] @ X[:, :nvf]
+        for got in (block.schur, parts.schur):
+            assert np.array_equal(got.indices, op.plan.indices[space.condensation.vv])
+            assert np.abs(got.toarray() - schur).max() <= 1e-13 * np.abs(A).max()
+        saddle_B, saddle_C = Bd[:, v] - Bd[:, b] @ X[:, :nvf], -Bd[:, b] @ X[:, nvf:]
+        assert np.abs(parts.saddle_B.toarray() - saddle_B).max() <= 1e-13 * np.abs(Bd).max()
+        assert (np.abs(parts.saddle_C.toarray() - saddle_C).max()
+                <= 1e-13 * np.abs(saddle_C).max())
+    assert seen == {True, False} or (n, problem, weights) == (5, 1, {})
+
+
 def _trace_of(cfg, sign, factored=None, certified=None):
     """The limit and trace of one direction's search.  Given lists, the pencil it reads
     appends to them the data of each factorization the search makes itself (its ray,
@@ -626,7 +664,7 @@ def test_verdicts_build_no_full_block(monkeypatch):
     for cfg, check in runs:
         assert check(cfg)
         space = _StabilityOperator(cfg).space
-        nvf = len(space.condensation.indptr) - 1
+        nvf = space.condensation.vertex.shape[0]
         assert nvf < len(space.free_dofs) and set(shapes) == {(nvf, nvf)}
         shapes.clear()
 
@@ -739,6 +777,29 @@ def test_unconfirmed_crossing_raises(monkeypatch):
     with pytest.raises(ArithmeticError, match=r"counts 1 non-positive eigenvalues but "
                                               r"lambda_min = 1\.000000e\+00"):
         find_stability_limits(ProblemConfig(problem=1, n=9))
+
+
+
+def test_singular_schur_complement_proves_nothing(monkeypatch):
+    # factor_with_inertia proves nothing on an exactly singular Schur complement: then
+    # so does the condensed factor, a verdict on it raises on its count, and a search
+    # whose every factorization proves nothing raises at its first test
+    cfg, real = ProblemConfig(problem=2, n=5, gamma_tilde=1.0), analysis.factor_with_inertia
+    op = _StabilityOperator(cfg)
+
+    def singular_first():  # the first factorization proves nothing, the rest are real
+        first = iter([(None, None)])
+        monkeypatch.setattr(analysis, "factor_with_inertia",
+                            lambda A: next(first, 0) or real(A))
+
+    singular_first()
+    assert op.factor(_data(op, 1.0)) == (None, None)
+    singular_first()
+    with pytest.raises(ArithmeticError, match="counts None non-positive eigenvalues"):
+        is_stable(cfg)
+    monkeypatch.setattr(analysis, "factor_with_inertia", lambda A: (None, None))
+    with pytest.raises(ArithmeticError, match="not positive definite at gamma_tilde = 0.0 "):
+        find_stability_limits(cfg)
 
 
 @pytest.mark.parametrize("problem,gt,m0", [(1, 14.0, False), (1, 15.0, False),
